@@ -225,6 +225,7 @@ class LaelapsDetector:
         margin = self.symbolizer.margin
         engine = self.engine
         ictal_acc = engine.accumulator()
+        ictal_h = []
         for segment in segments.ictal:
             sl = segment_slice(segment, self.config.fs, arr.shape[0], margin)
             h = self.encode(arr[sl])
@@ -233,6 +234,7 @@ class LaelapsDetector:
                     f"ictal segment {segment} too short for one analysis window"
                 )
             ictal_acc.add(h)
+            ictal_h.append(h)
         inter_sl = segment_slice(
             segments.interictal, self.config.fs, arr.shape[0], margin
         )
@@ -245,11 +247,8 @@ class LaelapsDetector:
             engine.accumulator().add(inter_h).finalize(),
         )
         engine.store(self.memory, ICTAL, ictal_acc.finalize())
-        # Re-derive the fit report against the final prototypes.
-        ictal_h = [
-            self.encode(arr[segment_slice(s, self.config.fs, arr.shape[0], margin)])
-            for s in segments.ictal
-        ]
+        # Derive the fit report against the final prototypes, reusing
+        # the ictal windows encoded above.
         all_ictal = np.concatenate(ictal_h, axis=0)
         _, distances = self.engine.classify_windows(self.memory, all_ictal)
         self.fit_report = FitReport(

@@ -9,13 +9,18 @@ register per binary digit, so adding a d-bit mask costs
 thresholding (the majority test) is a bitwise magnitude comparator —
 no unpacking anywhere.
 
-Used by :class:`repro.hdc.spatial_packed.PackedSpatialEncoder`; the
-plain integer-counter encoder remains the default (numpy's gather/sum
-is faster for wide electrode counts), but this path is word-exact
-against it and mirrors the embedded implementation's data layout.
+Used by :class:`repro.hdc.spatial_packed.PackedSpatialEncoder`, which
+runs the compressor tree in place on its own cache-sized gather tile
+(:func:`_counts_in_place`).  That path is word-exact against the plain
+integer-counter encoder of :mod:`repro.hdc.spatial`, faster than it at
+every shape measured (3-9x from 16 to 1024 electrodes at d = 1 000-
+10 000 on a 2-vCPU x86 host), and mirrors the embedded
+implementation's data layout.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -47,40 +52,71 @@ def _carry_save_add(
     return partial ^ c, (a & b) | (c & partial)
 
 
-def _reduce_plane(level: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Compress ``(m, ...)`` same-weight masks to one plane plus carries.
+def _reduce_plane(buf: np.ndarray, hi: int) -> tuple[np.ndarray, int]:
+    """Compress the same-weight rows ``buf[:hi]`` in place.
 
-    Applies 3:2 compressors in bulk (a Wallace-tree level per call), so
-    the work per pass is a handful of full-width numpy operations rather
-    than one Python iteration per mask.
+    A Wallace-tree pass splits the level into three contiguous slabs
+    ``a, b, c`` and runs every 3:2 compressor of the pass as five
+    in-place ufunc calls over whole slabs: the sums land in ``c``, next
+    to the rows left over, so the following pass needs no concatenate.
+    Carries are written to ``buf[0:n_carries]``, which the consumed
+    ``a``/``b`` slabs keep free, so the next weight's level is again
+    one contiguous slab at the front of ``buf``.
+
+    Returns:
+        ``(plane, n_carries)``: this weight's digit (a row view into
+        ``buf``, outside the carry rows) and the number of carries of
+        the next weight, now in ``buf[:n_carries]``.
     """
-    carries: list[np.ndarray] = []
-    while level.shape[0] > 2:
-        groups = level.shape[0] // 3
-        triples = level[: 3 * groups].reshape((groups, 3) + level.shape[1:])
-        total, carry = _carry_save_add(
-            triples[:, 0], triples[:, 1], triples[:, 2]
-        )
-        carries.append(carry)
-        rest = level[3 * groups :]
-        level = total if rest.shape[0] == 0 else np.concatenate(
-            [total, rest], axis=0
-        )
-    if level.shape[0] == 2:
-        carries.append((level[0] & level[1])[None])
-        plane = level[0] ^ level[1]
-    else:
-        plane = level[0]
-    if not carries:
-        return plane, None
-    return plane, np.concatenate(carries, axis=0)
+    lo = n_carries = 0
+    while hi - lo > 2:
+        groups = (hi - lo) // 3
+        a = buf[lo : lo + groups]
+        b = buf[lo + groups : lo + 2 * groups]
+        c = buf[lo + 2 * groups : lo + 3 * groups]
+        # sum = a ^ b ^ c, carry = majority(a, b, c) = ((a^b) | (a^c)) ^ sum
+        b ^= a
+        a ^= c
+        c ^= b
+        a |= b
+        np.bitwise_xor(a, c, out=buf[n_carries : n_carries + groups])
+        n_carries += groups
+        lo += 2 * groups
+    if hi - lo == 2:
+        a, b = buf[lo : lo + 1], buf[lo + 1 : lo + 2]
+        # plane = a ^ b (kept in b), carry = a & b = (a | plane) ^ plane
+        b ^= a
+        a |= b
+        np.bitwise_xor(a, b, out=buf[n_carries : n_carries + 1])
+        return buf[lo + 1], n_carries + 1
+    return buf[lo], n_carries
+
+
+def _counts_in_place(buf: np.ndarray) -> list[np.ndarray]:
+    """Digit planes of the per-position 1-counts of ``buf``'s rows.
+
+    The destructive core of :func:`bitsliced_counts`: runs the whole
+    carry-save tree inside ``buf`` (C-contiguous uint64 ``(k, cols)``)
+    with no full-width temporaries, overwriting it.
+
+    Returns:
+        ``plane_depth(k)`` row views into ``buf``, least significant
+        digit first.
+    """
+    planes: list[np.ndarray] = []
+    n_rows = buf.shape[0]
+    while n_rows:
+        plane, n_rows = _reduce_plane(buf, n_rows)
+        planes.append(plane)
+    return planes
 
 
 def bitsliced_counts(masks: np.ndarray) -> np.ndarray:
     """Per-position 1-counts of a stack of packed masks, in digit planes.
 
     Args:
-        masks: uint64 array ``(k, ..., words)`` of packed bit masks.
+        masks: uint64 array ``(k, ..., words)`` of packed bit masks; it
+            is left unmodified (the tree runs on a private copy).
 
     Returns:
         uint64 array ``(depth, ..., words)``: plane ``j`` holds digit
@@ -93,12 +129,9 @@ def bitsliced_counts(masks: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (k, ..., words) masks, got {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("cannot count an empty stack of masks")
-    planes: list[np.ndarray] = []
-    level: np.ndarray | None = arr
-    while level is not None:
-        plane, level = _reduce_plane(level)
-        planes.append(plane)
-    return np.stack(planes)
+    buf = arr.reshape(arr.shape[0], -1).copy()
+    planes = _counts_in_place(buf)
+    return np.stack(planes).reshape((len(planes),) + arr.shape[1:])
 
 
 def planes_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,15 +175,25 @@ def planes_greater_than(planes: np.ndarray, threshold: int) -> np.ndarray:
     arr = np.asarray(planes, dtype=np.uint64)
     if arr.ndim < 2:
         raise ValueError(f"expected (depth, ..., words) planes, got {arr.shape}")
-    batch = arr.shape[1:]
+    return _greater_than(arr, threshold)
+
+
+def _greater_than(planes: Sequence[np.ndarray], threshold: int) -> np.ndarray:
+    """The comparator of :func:`planes_greater_than` over a digit sequence.
+
+    Takes the planes as any least-significant-first sequence of
+    same-shape arrays, so the row views of :func:`_counts_in_place` are
+    compared without stacking them first.
+    """
+    batch = planes[0].shape
     if threshold < 0:
         return np.full(batch, _ALL_ONES, dtype=np.uint64)
-    if threshold >> arr.shape[0]:
+    if threshold >> len(planes):
         return np.zeros(batch, dtype=np.uint64)
     greater = np.zeros(batch, dtype=np.uint64)
     equal = np.full(batch, _ALL_ONES, dtype=np.uint64)
-    for j in range(arr.shape[0] - 1, -1, -1):
-        plane = arr[j]
+    for j in range(len(planes) - 1, -1, -1):
+        plane = planes[j]
         if (threshold >> j) & 1:
             equal &= plane
         else:

@@ -8,13 +8,14 @@ comparator implements the majority — exactly the XOR / transpose /
 popcount structure of the paper's GPU encoding kernel restated for
 64-bit CPU words.
 
-Batch encoding reduces all samples of a chunk at once: per electrode one
-gather from the packed bound table, then a vectorised carry-save
-compressor tree (:func:`repro.hdc.bitsliced.bitsliced_counts`) and a
-bitwise magnitude comparator produce every spatial record in a handful
-of full-width word operations — the packed backend of
-:class:`repro.core.detector.LaelapsDetector` runs entirely through this
-path and is verified word-exact against the unpacked encoder.
+Batch encoding works tile by tile: each tile of samples is gathered
+electrode-major from the packed bound table straight into one
+cache-sized scratch buffer, then reduced in place by the carry-save
+compressor tree (:func:`repro.hdc.bitsliced._counts_in_place`) and a
+bitwise magnitude comparator while it is still in cache — every spatial
+record in a handful of full-width word operations.  The packed backend
+of :class:`repro.core.detector.LaelapsDetector` runs entirely through
+this path and is verified word-exact against the unpacked encoder.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ import numpy as np
 from repro.hdc.backend import pack_bits, packed_words
 from repro.hdc.bitsliced import (
     BitslicedCounter,
-    bitsliced_counts,
-    planes_greater_than,
+    _counts_in_place,
+    _greater_than,
 )
 from repro.hdc.item_memory import ItemMemory
 
-#: Word budget per batch chunk (~64 MiB of gathered masks); keeps the
-#: (n_electrodes, chunk, words) intermediate cache-friendly.
-_CHUNK_WORDS = 8_000_000
+#: Byte budget of one gathered ``(n_electrodes, tile, words)`` sample
+#: tile.  Sized to stay resident in a 4 MiB L2 while the compressor tree
+#: makes its passes over it; tiles never shrink below one sample.
+_TILE_BYTES = 2 * 1024 * 1024
 
 
 class PackedSpatialEncoder:
@@ -62,6 +64,12 @@ class PackedSpatialEncoder:
         self._table = (
             packed_electrodes[:, None, :] ^ packed_codes[None, :, :]
         )
+        # Row-flattened view plus per-electrode row offsets: one
+        # ``np.take`` gathers a tile electrode-major into the scratch.
+        self._flat_table = self._table.reshape(-1, self.words)
+        self._row_offsets = (
+            np.arange(self.n_electrodes)[:, None] * self.n_codes
+        )
 
     def encode_sample_packed(self, codes: np.ndarray) -> np.ndarray:
         """Spatial record of one sample, packed, shape ``(words,)``."""
@@ -80,10 +88,11 @@ class PackedSpatialEncoder:
     def encode_packed(self, codes: np.ndarray) -> np.ndarray:
         """Spatial records for a batch, packed, ``(n_samples, words)``.
 
-        Vectorised over samples: gathers every bound mask of the chunk
-        from the packed table and reduces the electrode axis with the
-        carry-save compressor tree, so the per-sample Python loop of the
-        reference path never runs on the hot path.
+        Vectorised over samples: each tile of at most ``_TILE_BYTES`` of
+        bound masks is gathered electrode-major into one reused scratch
+        buffer and reduced there by :meth:`_tile_majority`, so the
+        per-sample Python loop of the reference path never runs on the
+        hot path and no tile outgrows the cache.
         """
         arr = np.asarray(codes)
         if arr.ndim == 1:
@@ -98,18 +107,33 @@ class PackedSpatialEncoder:
             return out
         if arr.min() < 0 or arr.max() >= self.n_codes:
             raise ValueError(f"code out of range [0, {self.n_codes})")
-        chunk = max(1, _CHUNK_WORDS // (self.n_electrodes * self.words))
-        electrode_index = np.arange(self.n_electrodes)
-        for start in range(0, n_samples, chunk):
-            stop = min(start + chunk, n_samples)
-            # (stop - start, n_electrodes, words) gather, electrode-major
-            # for the reduction along axis 0.
-            masks = self._table[electrode_index, arr[start:stop]]
-            planes = bitsliced_counts(np.ascontiguousarray(masks.swapaxes(0, 1)))
-            out[start:stop] = planes_greater_than(
-                planes, self.n_electrodes // 2
+        n, words = self.n_electrodes, self.words
+        tile = min(n_samples, max(1, _TILE_BYTES // (n * words * 8)))
+        scratch = np.empty(n * tile * words, dtype=np.uint64)
+        rows = arr.T + self._row_offsets  # flat-table row of every mask
+        for start in range(0, n_samples, tile):
+            stop = min(start + tile, n_samples)
+            masks = scratch[: n * (stop - start) * words]
+            masks = masks.reshape(n, stop - start, words)
+            # Codes are range-checked above, so "clip" never clips; unlike
+            # the default "raise" mode it writes straight into the scratch.
+            np.take(
+                self._flat_table, rows[:, start:stop], axis=0, out=masks,
+                mode="clip",
             )
+            out[start:stop] = self._tile_majority(masks)
         return out
+
+    def _tile_majority(self, masks: np.ndarray) -> np.ndarray:
+        """Majority words of one gathered tile, ``(tile, words)``.
+
+        ``masks`` is the C-contiguous electrode-major ``(n_electrodes,
+        tile, words)`` scratch; the compressor tree overwrites it.
+        """
+        planes = _counts_in_place(masks.reshape(self.n_electrodes, -1))
+        return _greater_than(planes, self.n_electrodes // 2).reshape(
+            masks.shape[1:]
+        )
 
     def encode(self, codes: np.ndarray) -> np.ndarray:
         """Unpacked uint8 records, drop-in compatible with the default

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import ICTAL, INTERICTAL, LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.training import TrainingSegments
+from repro.hdc.engine import PACKED_FUSED_ENGINE, UNPACKED_ENGINE
 
 
 class TestConstruction:
@@ -68,6 +69,39 @@ class TestFit:
         det.fit_from_windows(ictal, inter)
         np.testing.assert_array_equal(det.memory.prototype(ICTAL), ictal)
         np.testing.assert_array_equal(det.memory.prototype(INTERICTAL), inter)
+
+    @pytest.mark.parametrize("backend", [UNPACKED_ENGINE, PACKED_FUSED_ENGINE])
+    def test_fit_encodes_each_segment_once(
+        self, mini_recording, small_config, backend, monkeypatch
+    ):
+        config = small_config.with_backend(backend)
+        segments = TrainingSegments(
+            ictal=((100.0, 125.0), (220.0, 245.0)), interictal=(40.0, 70.0)
+        )
+        det = LaelapsDetector(mini_recording.n_electrodes, config)
+        encoder_cls = type(det.temporal_encoder())
+        real_encode_all = encoder_cls.encode_all
+        encoded = []
+
+        def spy(self, codes):
+            h = real_encode_all(self, codes)
+            encoded.append(h)
+            return h
+
+        monkeypatch.setattr(encoder_cls, "encode_all", spy)
+        det.fit(mini_recording.data, segments)
+        monkeypatch.undo()
+        # Two ictal segments, then the interictal one: one encode each.
+        assert len(encoded) == 3
+        reference = LaelapsDetector(mini_recording.n_electrodes, config)
+        reference.fit_from_windows(
+            np.concatenate(encoded[:2], axis=0), encoded[2]
+        )
+        assert det.fit_report == reference.fit_report
+        for label in (ICTAL, INTERICTAL):
+            np.testing.assert_array_equal(
+                det.memory.prototype(label), reference.memory.prototype(label)
+            )
 
     def test_fit_rejects_too_short_segment(self, mini_recording, small_config):
         det = LaelapsDetector(mini_recording.n_electrodes, small_config)

@@ -1,12 +1,15 @@
 """Tests for the bit-sliced counter and the packed spatial encoder."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hdc.spatial_packed as spatial_packed
 from repro.hdc.backend import pack_bits, random_bits, unpack_bits
-from repro.hdc.bitsliced import BitslicedCounter
+from repro.hdc.bitsliced import BitslicedCounter, bitsliced_counts
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
@@ -115,3 +118,52 @@ class TestPackedSpatialEncoder:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
             PackedSpatialEncoder(ItemMemory(4, 64, 1), ItemMemory(4, 128, 2))
+
+
+class TestBitslicedCountsInput:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 64, 65])
+    def test_input_left_unmodified(self, rng, k):
+        masks = pack_bits(random_bits((k, 3, 130), rng))
+        before = masks.copy()
+        planes = bitsliced_counts(masks)
+        np.testing.assert_array_equal(masks, before)
+        assert planes.shape[1:] == masks.shape[1:]
+
+
+#: Samples per encoded batch; 7-sample tiles leave a 6-sample remainder.
+TILE_BATCH = 20
+
+
+@functools.lru_cache(maxsize=None)
+def _tile_case(n_electrodes: int, dim: int):
+    """Encoders, a code batch and its unpacked oracle records."""
+    code_memory = ItemMemory(64, dim, seed=11)
+    electrode_memory = ItemMemory(n_electrodes, dim, seed=12)
+    rng = np.random.default_rng(n_electrodes * 100_003 + dim)
+    codes = rng.integers(0, 64, size=(TILE_BATCH, n_electrodes))
+    oracle = SpatialEncoder(code_memory, electrode_memory).encode(codes)
+    packed = PackedSpatialEncoder(code_memory, electrode_memory)
+    return packed, codes, pack_bits(oracle)
+
+
+class TestTileBoundaries:
+    """``encode_packed`` is word-exact whatever the tile budget cuts."""
+
+    @pytest.mark.parametrize("dim", [65, 1_000, 10_001])
+    @pytest.mark.parametrize("n_electrodes", [1, 2, 3, 4, 64, 300])
+    @pytest.mark.parametrize("tile_samples", [1, 7, TILE_BATCH + 5])
+    def test_matches_unpacked_oracle(
+        self, monkeypatch, n_electrodes, dim, tile_samples
+    ):
+        packed, codes, expected = _tile_case(n_electrodes, dim)
+        monkeypatch.setattr(
+            spatial_packed,
+            "_TILE_BYTES",
+            tile_samples * n_electrodes * packed.words * 8,
+        )
+        np.testing.assert_array_equal(packed.encode_packed(codes), expected)
+
+    def test_budget_below_one_sample_still_encodes(self, monkeypatch):
+        packed, codes, expected = _tile_case(64, 1_000)
+        monkeypatch.setattr(spatial_packed, "_TILE_BYTES", 1)
+        np.testing.assert_array_equal(packed.encode_packed(codes), expected)
