@@ -28,6 +28,7 @@ from __future__ import annotations
 import gc
 import os
 import resource
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -76,7 +77,10 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _run_member(n_channels: int, dim: int, root: Path) -> dict[str, float]:
+def _run_member(
+    n_channels: int, dim: int, root: Path
+) -> tuple[dict[str, float], str]:
+    """One channel count end to end: its metrics and the engine that ran."""
     spec = CohortSpec(
         f"scaling-{n_channels}",
         (
@@ -96,10 +100,14 @@ def _run_member(n_channels: int, dim: int, root: Path) -> dict[str, float]:
     gen_s = time.perf_counter() - t0
     patient = cohort.member("m0").patient()
 
+    engines: set[str] = set()
+
     def factory(n_electrodes: int, fs: float) -> LaelapsDetector:
-        return LaelapsDetector(
+        detector = LaelapsDetector(
             n_electrodes, LaelapsConfig(dim=dim, fs=fs, seed=3)
         )
+        engines.add(detector.backend)
+        return detector
 
     gc.collect()
     tracemalloc.start()
@@ -114,6 +122,7 @@ def _run_member(n_channels: int, dim: int, root: Path) -> dict[str, float]:
     n_windows = len(run.train_preds) + len(run.test_preds)
     assert n_windows > 0
     n_samples = int(DURATION_S * FS)
+    (engine,) = engines
     return {
         "windows_per_s": n_windows / elapsed,
         "eval_peak_mb": peak / 1e6,
@@ -121,29 +130,31 @@ def _run_member(n_channels: int, dim: int, root: Path) -> dict[str, float]:
         "gen_s": gen_s,
         "eval_s": elapsed,
         "in_memory_floor_mb": n_samples * n_channels * 8 / 1e6,
-    }
+    }, engine
 
 
-def test_channel_scaling_trajectory(tmp_path):
+def _measure(channels: tuple[int, ...], dim: int, root: Path):
+    """Run every channel count into one record.
+
+    The record names the engine of the detectors that actually ran, not
+    what ``auto`` would resolve to: the factory builds the default
+    config, whose backend is ``unpacked``.
+    """
     from repro.evaluation.benchrec import (
         BenchRecord,
         current_git_sha,
         machine_fingerprint,
-        read_record,
-        render_comparison,
-        write_record,
     )
-    from repro.hdc.engine import resolve_engine_name
 
-    dim = bench_dim(1_000, smoke=256)
-    channels = _channel_grid()
     metrics: dict[str, float] = {}
+    engines: set[str] = set()
     print(
         f"\n[channel scaling] {DURATION_S:.0f} s @ {FS:.0f} Hz, d={dim}, "
         f"chunk={CHUNK_SAMPLES}, budget {BUDGET_MB:.0f} MB"
     )
     for n_channels in channels:
-        row = _run_member(n_channels, dim, tmp_path / f"c{n_channels}")
+        row, engine = _run_member(n_channels, dim, root / f"c{n_channels}")
+        engines.add(engine)
         for key, value in row.items():
             metrics[f"c{n_channels}_{key}"] = value
         print(
@@ -157,16 +168,12 @@ def test_channel_scaling_trajectory(tmp_path):
             f"{n_channels} ch: streamed eval peak "
             f"{row['eval_peak_mb']:.0f} MB blows the {BUDGET_MB:.0f} MB budget"
         )
-    if not smoke_mode():
-        # At the top of the grid the in-memory path cannot fit the
-        # budget even before encoding a single window.
-        assert metrics["c1024_in_memory_floor_mb"] > 2 * BUDGET_MB
-
-    record = BenchRecord(
+    (engine,) = engines
+    return BenchRecord(
         name="channel_scaling",
         machine=machine_fingerprint(),
         git_sha=current_git_sha(),
-        engine=resolve_engine_name("auto"),
+        engine=engine,
         config={
             "channels": list(channels),
             "duration_s": DURATION_S,
@@ -178,6 +185,37 @@ def test_channel_scaling_trajectory(tmp_path):
         },
         metrics=metrics,
     )
+
+
+def test_record_names_the_engine_that_ran(tmp_path, monkeypatch):
+    built: list[str] = []
+
+    class Spy(LaelapsDetector):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            built.append(self.backend)
+
+    monkeypatch.setattr(sys.modules[__name__], "LaelapsDetector", Spy)
+    record = _measure((16,), 64, tmp_path)
+    assert built
+    assert {record.engine} == set(built)
+
+
+def test_channel_scaling_trajectory(tmp_path):
+    from repro.evaluation.benchrec import (
+        read_record,
+        render_comparison,
+        write_record,
+    )
+
+    dim = bench_dim(1_000, smoke=256)
+    channels = _channel_grid()
+    record = _measure(channels, dim, tmp_path)
+    if not smoke_mode():
+        # At the top of the grid the in-memory path cannot fit the
+        # budget even before encoding a single window.
+        assert record.metrics["c1024_in_memory_floor_mb"] > 2 * BUDGET_MB
+
     out = _output_path()
     write_record(record, out)
     fresh = read_record(out)  # emit/schema gate: always enforced

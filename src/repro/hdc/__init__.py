@@ -19,7 +19,8 @@ encoder; ``repro.hdc.associative`` is the two-prototype associative memory
 The packed half of the substrate never unpacks: ``repro.hdc.backend``
 owns the word layout, ``repro.hdc.bitsliced`` the carry-save counting,
 and ``repro.hdc.spatial_packed``/``repro.hdc.temporal_packed`` mirror the
-encoders bit-exactly in the word domain.
+encoders bit-exactly in the word domain.  ``repro.hdc.parallel`` spreads
+the blocks of one large temporal-encoder feed over forked processes.
 
 ``repro.hdc.engine`` is the single dispatch point between the forms: a
 named registry of :class:`~repro.hdc.engine.ComputeEngine` objects

@@ -183,7 +183,8 @@ def _greater_than(planes: Sequence[np.ndarray], threshold: int) -> np.ndarray:
 
     Takes the planes as any least-significant-first sequence of
     same-shape arrays, so the row views of :func:`_counts_in_place` are
-    compared without stacking them first.
+    compared without stacking them first.  The planes are only read;
+    every digit step writes into one preallocated temporary.
     """
     batch = planes[0].shape
     if threshold < 0:
@@ -192,13 +193,17 @@ def _greater_than(planes: Sequence[np.ndarray], threshold: int) -> np.ndarray:
         return np.zeros(batch, dtype=np.uint64)
     greater = np.zeros(batch, dtype=np.uint64)
     equal = np.full(batch, _ALL_ONES, dtype=np.uint64)
+    tmp = np.empty(batch, dtype=np.uint64)
     for j in range(len(planes) - 1, -1, -1):
         plane = planes[j]
         if (threshold >> j) & 1:
             equal &= plane
         else:
-            greater |= equal & plane
-            equal &= ~plane
+            # greater |= equal & plane; equal &= ~plane, which is
+            # equal ^ (equal & plane)
+            np.bitwise_and(equal, plane, out=tmp)
+            greater |= tmp
+            equal ^= tmp
     return greater
 
 

@@ -4,14 +4,17 @@ The two hot loops of the packed pipeline — the XOR+popcount sweep
 behind :meth:`repro.hdc.associative.AssociativeMemory.classify_packed`
 / :func:`repro.hdc.associative.grouped_classify_packed`, and the
 carry-save bundling tree of :mod:`repro.hdc.bitsliced` — are pure
-NumPy everywhere else: single-threaded per process, so a shard worker
-cannot scale past one core.  This module re-states both kernels in a
-numba-compilable subset of Python and JIT-compiles them with
-``@njit(parallel=True, nogil=True, cache=True)``: the sweep `prange`s
-over query rows (per-thread argmin, same earliest-stored tie-break as
-``np.argmin``), the bundling tree `prange`s over word columns (each
-column ripples its own carry chain), and both release the GIL so
-N shard workers x M threads is a real sizing knob.
+NumPy everywhere else, where each call runs on one core.  There the
+only multicore path is :mod:`repro.hdc.parallel`: a large feed forks
+to encode its complete blocks side by side, but the sweep, and a
+streaming push of one or two blocks, stay on one core.  This module
+re-states both kernels in a numba-compilable subset of Python and
+JIT-compiles them with ``@njit(parallel=True, nogil=True,
+cache=True)``: the sweep `prange`s over query rows (per-thread argmin,
+same earliest-stored tie-break as ``np.argmin``), the bundling tree
+`prange`s over word columns (each column ripples its own carry chain),
+and both release the GIL so N shard workers x M threads is a real
+sizing knob.
 
 numba is an *optional* accelerator.  This module is the only place in
 the tree allowed to import it (enforced by ``repro lint`` rule
@@ -42,7 +45,7 @@ from repro.hdc.associative import (
     AssociativeMemory,
     _validate_grouped,
 )
-from repro.hdc.bitsliced import plane_depth, planes_add, planes_greater_than
+from repro.hdc.bitsliced import plane_depth
 from repro.hdc.engine import (
     PACKED_NATIVE_ENGINE,
     EngineUnavailableError,
@@ -442,21 +445,15 @@ class NativeTemporalEncoder(PackedTemporalEncoder):
     cheap cross-block combine (``blocks_per_window`` plane adds on
     ``(depth, words)`` arrays) and the checkpoint import/export stay on
     the shared numpy path, so streaming state remains engine-independent.
+    Feeds never fork: the kernels already use every core, and forking
+    once numba's threading layer has started is unsafe.
     """
 
     spatial: NativeSpatialEncoder
+    fork_blocks = False
 
-    def _consume_block(self, block_codes: np.ndarray) -> np.ndarray | None:
-        s_packed = self.spatial.encode_packed(block_codes)
-        self._block_planes.append(native_bitsliced_counts(s_packed))
-        if len(self._block_planes) < self.blocks_per_window:
-            return None
-        window_planes = self._block_planes[0]
-        for planes in list(self._block_planes)[1:]:
-            window_planes = planes_add(window_planes, planes)
-        return planes_greater_than(
-            window_planes, self.spec.window_samples // 2
-        )
+    def _block_state(self, block_codes: np.ndarray) -> np.ndarray:
+        return native_bitsliced_counts(self.spatial.encode_packed(block_codes))
 
 
 @register_engine

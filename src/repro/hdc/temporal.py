@@ -14,23 +14,41 @@ windows overlap.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 import numpy as np
 
+from repro.hdc.backend import packed_words
 from repro.hdc.ops import majority_from_counts
+from repro.hdc.parallel import fork_map
 from repro.hdc.spatial import SpatialEncoder
 from repro.signal.windows import WindowSpec
+
+
+#: Most blocks whose states a feed holds at once: a longer feed runs in
+#: rounds, so a forked round holds at most 512 block states (20 MB of
+#: int32 counts at d = 10 000) whatever the recording's length.
+_ROUND_BLOCKS = 512
 
 
 class WindowBundler:
     """Streaming scaffold shared by both temporal-encoder backends.
 
     Buffers per-sample codes across ``feed`` calls, tiles them into
-    exact 0.5 s blocks, and hands each full block to the backend hook
-    ``_consume_block``.  Subclasses own the per-block state (integer
-    counters or bit-sliced planes) and the output representation —
-    keeping the chunk-boundary bookkeeping in one place is what makes
-    the two backends provably equivalent under arbitrary chunking.
+    exact 0.5 s blocks, and passes each full block through two backend
+    hooks: ``_block_state`` (the spatial encode plus the block's
+    per-component counts, a pure function of the block's codes and the
+    immutable item memories) and ``_absorb_block`` (the ordered append
+    to the window's block deque and the window majority).  Subclasses
+    own the per-block state (integer counters or bit-sliced planes) and
+    the output representation — keeping the chunk-boundary bookkeeping
+    in one place is what makes the backends provably equivalent under
+    arbitrary chunking.
+
+    Because ``_block_state`` is pure, the complete blocks of one
+    ``feed`` may be encoded on several cores at once
+    (:func:`repro.hdc.parallel.fork_map`); ``_absorb_block`` always runs
+    in order in the calling process.
 
     Args:
         spatial: The spatial encoder producing per-sample records; must
@@ -39,6 +57,9 @@ class WindowBundler:
             integer multiple of ``step_samples`` (the paper uses 512/256)
             so windows tile exactly into blocks.
     """
+
+    #: Whether a feed may fork to encode its blocks on several cores.
+    fork_blocks = True
 
     def __init__(self, spatial, spec: WindowSpec) -> None:
         if spec.window_samples % spec.step_samples != 0:
@@ -62,8 +83,12 @@ class WindowBundler:
         """(Re)initialise the per-block accumulation state."""
         raise NotImplementedError
 
-    def _consume_block(self, block_codes: np.ndarray) -> np.ndarray | None:
-        """Encode one full block; return an H vector once enough blocks exist."""
+    def _block_state(self, block_codes: np.ndarray) -> np.ndarray:
+        """Encode one full block into its per-component counts."""
+        raise NotImplementedError
+
+    def _absorb_block(self, state: np.ndarray) -> np.ndarray | None:
+        """Append a block's counts; return an H vector once enough exist."""
         raise NotImplementedError
 
     def _empty_windows(self) -> np.ndarray:
@@ -90,17 +115,31 @@ class WindowBundler:
         if self._pending.size:
             arr = np.concatenate([self._pending, arr], axis=0)
         step = self.spec.step_samples
+        n_blocks = arr.shape[0] // step
         outputs = []
-        offset = 0
-        while arr.shape[0] - offset >= step:
-            h = self._consume_block(arr[offset : offset + step])
-            if h is not None:
-                outputs.append(h)
-            offset += step
-        self._pending = arr[offset:].copy()
+        for first in range(0, n_blocks, _ROUND_BLOCKS):
+            blocks = [
+                arr[i * step : (i + 1) * step]
+                for i in range(first, min(first + _ROUND_BLOCKS, n_blocks))
+            ]
+            for state in self._block_states(blocks):
+                h = self._absorb_block(state)
+                if h is not None:
+                    outputs.append(h)
+        self._pending = arr[n_blocks * step :].copy()
         if not outputs:
             return self._empty_windows()
         return np.stack(outputs)
+
+    def _block_states(self, blocks: list[np.ndarray]) -> Iterable[np.ndarray]:
+        """``_block_state`` of every block, in order, forking if it pays."""
+        if not self.fork_blocks:
+            return map(self._block_state, blocks)
+        work = (
+            len(blocks) * self.spec.step_samples * self.spatial.n_electrodes
+            * packed_words(self.dim) * 8
+        )
+        return fork_map(self._block_state, blocks, work)
 
     def encode_all(self, codes: np.ndarray) -> np.ndarray:
         """Encode a complete code stream into all its H vectors.
@@ -194,9 +233,11 @@ class TemporalEncoder(WindowBundler):
             maxlen=self.blocks_per_window
         )
 
-    def _consume_block(self, block_codes: np.ndarray) -> np.ndarray | None:
-        s_bits = self.spatial.encode(block_codes)
-        self._block_sums.append(s_bits.sum(axis=0, dtype=np.int32))
+    def _block_state(self, block_codes: np.ndarray) -> np.ndarray:
+        return self.spatial.encode(block_codes).sum(axis=0, dtype=np.int32)
+
+    def _absorb_block(self, state: np.ndarray) -> np.ndarray | None:
+        self._block_sums.append(state)
         if len(self._block_sums) < self.blocks_per_window:
             return None
         window_counts = np.sum(self._block_sums, axis=0)

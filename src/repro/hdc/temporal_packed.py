@@ -55,9 +55,11 @@ class PackedTemporalEncoder(WindowBundler):
             maxlen=self.blocks_per_window
         )
 
-    def _consume_block(self, block_codes: np.ndarray) -> np.ndarray | None:
-        s_packed = self.spatial.encode_packed(block_codes)
-        self._block_planes.append(bitsliced_counts(s_packed))
+    def _block_state(self, block_codes: np.ndarray) -> np.ndarray:
+        return bitsliced_counts(self.spatial.encode_packed(block_codes))
+
+    def _absorb_block(self, state: np.ndarray) -> np.ndarray | None:
+        self._block_planes.append(state)
         if len(self._block_planes) < self.blocks_per_window:
             return None
         window_planes = self._block_planes[0]

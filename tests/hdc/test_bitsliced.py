@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import repro.hdc.spatial_packed as spatial_packed
 from repro.hdc.backend import pack_bits, random_bits, unpack_bits
-from repro.hdc.bitsliced import BitslicedCounter, bitsliced_counts
+from repro.hdc.bitsliced import (
+    BitslicedCounter,
+    _greater_than,
+    bitsliced_counts,
+    planes_greater_than,
+    planes_to_counts,
+)
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial import SpatialEncoder
 from repro.hdc.spatial_packed import PackedSpatialEncoder
@@ -128,6 +134,24 @@ class TestBitslicedCountsInput:
         planes = bitsliced_counts(masks)
         np.testing.assert_array_equal(masks, before)
         assert planes.shape[1:] == masks.shape[1:]
+
+
+class TestGreaterThanInput:
+    @pytest.mark.parametrize("k", [1, 5, 64])
+    def test_planes_left_unmodified(self, rng, k):
+        masks = pack_bits(random_bits((k, 2, 130), rng))
+        planes = bitsliced_counts(masks)
+        counts = planes_to_counts(planes, 130)
+        rows = list(planes.copy())  # the row-view form of the spatial path
+        before = planes.copy()
+        for threshold in (0, k // 2, k - 1, k, 2 * k + 1):
+            want = pack_bits((counts > threshold).astype(np.uint8))
+            np.testing.assert_array_equal(
+                planes_greater_than(planes, threshold), want
+            )
+            np.testing.assert_array_equal(_greater_than(rows, threshold), want)
+            np.testing.assert_array_equal(planes, before)
+            np.testing.assert_array_equal(np.stack(rows), before)
 
 
 #: Samples per encoded batch; 7-sample tiles leave a 6-sample remainder.
