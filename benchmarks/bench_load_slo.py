@@ -28,10 +28,15 @@ either way.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from benchmarks._gating import gate_speedup, usable_cores
 from benchmarks.conftest import smoke_mode
+from repro.hdc.engine import engine_names
+from repro.serve import loadgen
 from repro.serve.loadgen import LoadConfig, run_load_test
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -43,18 +48,22 @@ SLO_THROUGHPUT_FLOOR = 0.67
 SLO_P99_FLOOR = 0.67
 
 
+#: The CI smoke fleet: small enough for any host.
+SMOKE_CONFIG = LoadConfig(
+    n_sessions=8,
+    n_electrodes=8,
+    dim=256,
+    n_ticks=12,
+    warmup_ticks=3,
+    n_workers=2,
+    mode="inline",
+    seed=1,
+)
+
+
 def _config() -> LoadConfig:
     if smoke_mode():
-        return LoadConfig(
-            n_sessions=8,
-            n_electrodes=8,
-            dim=256,
-            n_ticks=12,
-            warmup_ticks=3,
-            n_workers=2,
-            mode="inline",
-            seed=1,
-        )
+        return SMOKE_CONFIG
     cores = usable_cores()
     # Enough measured ticks to resolve every reported tail percentile:
     # nearest-rank p99.9 needs min_samples_for_percentile(99.9) = 1001
@@ -79,6 +88,22 @@ def _output_path() -> Path:
     if smoke_mode():
         return REPO_ROOT / "BENCH_load_slo.smoke.json"
     return BASELINE_PATH
+
+
+@pytest.mark.parametrize("backend", engine_names())
+def test_record_names_the_engine_that_ran(backend, monkeypatch):
+    built: list[str] = []
+
+    class Spy(loadgen.LaelapsDetector):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            built.append(self.backend)
+
+    monkeypatch.setattr(loadgen, "LaelapsDetector", Spy)
+    report = run_load_test(replace(SMOKE_CONFIG, backend=backend))
+    assert built
+    assert {report.engine} == set(built) == {backend}
+    assert report.record("load_slo").engine == report.engine
 
 
 def test_load_slo_trajectory():

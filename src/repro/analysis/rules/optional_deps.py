@@ -1,8 +1,8 @@
 """Optional-dependency isolation: accelerators import in one place only.
 
-The ``packed-native`` engine (PR 8) made numba an *optional*
-accelerator: every tier-1 CI job runs without it, and the engine
-registry degrades gracefully when the import fails.  That guarantee
+The numba kernels of the ``packed`` engine make numba an *optional*
+accelerator: every tier-1 CI job runs without it, and the engine falls
+back to its numpy kernels when the import fails.  That guarantee
 only holds while exactly one module — ``src/repro/hdc/native.py`` —
 touches the import, inside its ``try``/``except ImportError``
 availability guard.  A bare ``import numba`` anywhere else (or an
@@ -73,8 +73,8 @@ class OptionalDependencyRule(Rule):
     name = "optional-dep-isolation"
     rationale = (
         "numba (and any future optional accelerator) is deliberately "
-        "absent from the tier-1 CI environments: the engine registry "
-        "must keep working, listing packed-native as unavailable.  That "
+        "absent from the tier-1 CI environments: the packed engine "
+        "must keep working there, on its numpy kernels.  That "
         "requires the import to exist in exactly one place — "
         "src/repro/hdc/native.py, inside its try/except ImportError "
         "availability guard.  An import anywhere else (or an unguarded "

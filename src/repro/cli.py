@@ -360,39 +360,31 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 def _cmd_backends(args: argparse.Namespace) -> int:
     from repro.hdc.engine import (
         AUTO_ENGINE,
+        PACKED_ENGINE,
         engine_capabilities,
         resolve_engine_name,
+        use_native_kernels,
     )
+    from repro.hdc.native import numba_unavailable_reason
 
-    caps = engine_capabilities(args.dim)
     rows = [
-        [
-            cap["name"],
-            cap["window_form"],
-            cap["width_at_dim"],
-            "yes" if cap["fused"] else "no",
-            "yes" if cap["available"] else "no",
-            cap["summary"],
-        ]
-        for cap in caps
+        [cap["name"], cap["window_form"], cap["width_at_dim"], cap["summary"]]
+        for cap in engine_capabilities(args.dim)
     ]
     table = render_table(
-        ["Engine", "Window form", f"width@d={args.dim}", "Fused",
-         "Avail", "Capabilities"],
+        ["Engine", "Window form", f"width@d={args.dim}", "Capabilities"],
         rows,
         title="Registered compute engines (LaelapsConfig.backend values)",
     )
     print(table)
-    for cap in caps:
-        if not cap["available"]:
-            print(
-                f"\n'{cap['name']}' is unavailable on this host: "
-                f"{cap['unavailable_reason']}"
-            )
+    if use_native_kernels():
+        kernels = "numba kernels"
+    else:
+        kernels = f"numpy kernels (numba: {numba_unavailable_reason()})"
+    print(f"\n'{PACKED_ENGINE}' runs on this host on {kernels}.")
     print(
-        f"\n'{AUTO_ENGINE}' resolves to "
-        f"'{resolve_engine_name(AUTO_ENGINE)}' on this host; all engines "
-        f"produce bit-identical labels and confidence scores."
+        f"'{AUTO_ENGINE}' resolves to '{resolve_engine_name(AUTO_ENGINE)}'; "
+        f"both engines produce bit-identical labels and confidence scores."
     )
     return 0
 
@@ -595,8 +587,9 @@ def _args_loadtest(p: argparse.ArgumentParser) -> None:
                    default="auto",
                    help="compute engine of the served models")
     p.add_argument("--native-threads", type=int, default=0,
-                   help="packed-native kernel threads per worker "
-                        "(REPRO_NATIVE_THREADS; 0 = engine default)")
+                   help="numba kernel threads per worker for the packed "
+                        "engine (REPRO_NATIVE_THREADS; 0 = numba default; "
+                        "no effect without numba)")
     p.add_argument("--transport", choices=("direct", "socket"),
                    default="direct",
                    help="tick path: in-process gateway calls, or the "

@@ -27,7 +27,7 @@ MIN_DIM = 1_000
 #: follows the *live* registry (an engine registered later is accepted
 #: even though this snapshot omits it); ``repro backends`` or
 #: :func:`repro.hdc.engine.backend_choices` always reflect the current
-#: set.  All engines are bit-exact against each other; they differ only
+#: set.  The engines are bit-exact against each other; they differ only
 #: in representation and speed.
 BACKENDS = backend_choices()
 
@@ -55,12 +55,13 @@ class LaelapsConfig:
         seed: Master seed; item-memory seeds are derived from it, so a
             config fully determines the model.
         backend: Name of the compute engine running the pipeline — any
-            name registered in :mod:`repro.hdc.engine` (``unpacked``,
-            the word-domain ``packed``, the fused ``packed-fused``) or
-            ``auto`` to pick the fastest at detector construction.
-            Every engine produces bit-identical labels and confidence
-            scores; see :data:`BACKENDS` and the ``repro backends``
-            command.
+            name registered in :mod:`repro.hdc.engine` (the ``unpacked``
+            oracle or the word-domain ``packed``) or ``auto``, which
+            resolves to ``packed``.  The retired names ``packed-fused``
+            and ``packed-native`` are still accepted and build
+            ``packed``.  Both engines produce bit-identical labels and
+            confidence scores; see :data:`BACKENDS` and the
+            ``repro backends`` command.
     """
 
     dim: int = GOLDEN_DIM

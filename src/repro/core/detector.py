@@ -274,9 +274,9 @@ class LaelapsDetector:
         """Classify every analysis window of a recording.
 
         Runs the engine's :meth:`~repro.hdc.engine.ComputeEngine.encode_classify`
-        sweep — on a fused engine, windows are classified as their blocks
-        complete and the full ``(n_windows, ...)`` H array is never
-        materialised.
+        sweep — on the packed engine, windows are classified as their
+        blocks complete and the full ``(n_windows, ...)`` H array is
+        never materialised.
         """
         if not self.is_fitted:
             raise RuntimeError("detector must be fitted before predicting")

@@ -219,9 +219,9 @@ class StreamSessionManager:
             protos.append(block)
             labels_table.append(block_labels)
             kernels.add(stream.detector.engine.grouped_kernel)
-        # When every involved session runs the same engine, its grouped
-        # kernel carries the tick (the packed-native engine's nogil
-        # sweep, typically); mixed fleets fall back to the shared numpy
+        # When every involved session runs the same grouped kernel, it
+        # carries the tick (the nogil numba sweep of packed engines on
+        # numba hosts, typically); mixed fleets fall back to the numpy
         # sweep — all implementations are bit-exact, so this only picks
         # a speed, never a result.
         sweep = kernels.pop() if len(kernels) == 1 else grouped_classify_packed

@@ -57,9 +57,9 @@ def predict_windows(
     """Score a whole recording in one batched sweep.
 
     Laelaps detectors route ``predict`` through their compute engine's
-    ``encode_classify`` sweep (batched on every engine, fused on
-    ``packed-fused`` — windows are classified as their blocks complete,
-    with no per-window loop and no full H array); baselines run their
+    ``encode_classify`` sweep (batched on both engines, fused on
+    ``packed`` — windows are classified as their blocks complete, with
+    no per-window loop and no full H array); baselines run their
     own ``predict``.  Kept as the evaluation driver's single entry
     point so every method is scored through the same call.
     """

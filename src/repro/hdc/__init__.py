@@ -24,8 +24,8 @@ the blocks of one large temporal-encoder feed over forked processes.
 
 ``repro.hdc.engine`` is the single dispatch point between the forms: a
 named registry of :class:`~repro.hdc.engine.ComputeEngine` objects
-(``unpacked``, ``packed``, the fused ``packed-fused`` fast path and the
-``auto`` selector) that every layer above — detector, streaming,
+(the ``unpacked`` oracle, ``packed``, and the ``auto`` selector, which
+always picks ``packed``) that every layer above — detector, streaming,
 sessions, persistence, serving, CLI — routes through instead of
 branching on a backend string or probing array widths.
 """
@@ -57,7 +57,6 @@ from repro.hdc.engine import (
     AUTO_ENGINE,
     ComputeEngine,
     PackedEngine,
-    PackedFusedEngine,
     UnpackedEngine,
     backend_choices,
     build_engine,
@@ -119,7 +118,6 @@ __all__ = [
     "ComputeEngine",
     "UnpackedEngine",
     "PackedEngine",
-    "PackedFusedEngine",
     "backend_choices",
     "build_engine",
     "engine_capabilities",

@@ -11,31 +11,30 @@ queries for the cross-session grouped sweep, and tags checkpoint
 payloads — so callers hold an engine and never ask which domain an H
 vector lives in.
 
-Registered engines (:func:`engine_names`):
+Registered engines (:func:`engine_names`), one per representation:
 
 * ``unpacked`` — uint8 0/1 component arrays, the reference
-  integer-counter path;
+  integer-counter path and the bit-exact oracle;
 * ``packed`` — uint64 words end to end (the word layout of the paper's
-  GPU kernels, Sec. V-B), batched XOR + popcount queries;
-* ``packed-fused`` — the packed representation plus a fused
-  encode→classify fast path: recordings are swept block by block with
+  GPU kernels, Sec. V-B).  Recordings are swept block by block with
   windows classified as soon as they complete (the full
   ``(n_windows, words)`` H array is never materialised), and
   single-window streaming queries run through a preallocated
-  XOR/popcount scratch with no per-call validation layers;
-* ``packed-native`` — the fused packed pipeline with both hot kernels
-  (XOR+popcount sweep, carry-save bundling tree) JIT-compiled to
-  multithreaded nogil machine code via the optional numba dependency
-  (:mod:`repro.hdc.native`); registered even when numba is absent, but
-  listed as unavailable and skipped by ``auto``;
-* ``auto`` — resolves to the fastest *available* registered engine at
-  detector construction (``packed-native`` with numba installed,
-  ``packed-fused`` otherwise).
+  XOR/popcount scratch.  Its hot kernels are picked once, at
+  construction, by availability (:func:`use_native_kernels`): the
+  multithreaded nogil numba kernels of :mod:`repro.hdc.native` when
+  numba imports, the numpy ones otherwise;
+* ``auto`` — resolves to ``packed`` on every host.
 
-All engines are bit-exact against each other; the cross-engine property
-suite (``tests/property/test_engine_equivalence.py``) enforces this over
-odd dimensions, ragged chunking, mixed-engine session fleets and
-mid-stream checkpoint/restore across engine names.
+The retired names ``packed-fused`` and ``packed-native`` resolve to
+``packed`` (:func:`resolve_engine_name`), so configs, model archives,
+session checkpoints and fleet manifests that carry them still load.
+
+Both engines, on either kernel set, are bit-exact against each other;
+the cross-engine property suite
+(``tests/property/test_engine_equivalence.py``) enforces this over odd
+dimensions, ragged chunking, mixed-engine session fleets and mid-stream
+checkpoint/restore across engine names.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.hdc import native
 from repro.hdc.associative import (
     AssociativeMemory,
     PackedPrototypeAccumulator,
@@ -66,17 +66,16 @@ AUTO_ENGINE = "auto"
 #: enforced by ``repro lint`` rule RPR003.
 UNPACKED_ENGINE = "unpacked"
 PACKED_ENGINE = "packed"
-PACKED_FUSED_ENGINE = "packed-fused"
-PACKED_NATIVE_ENGINE = "packed-native"
 
-
-class EngineUnavailableError(RuntimeError):
-    """A registered engine cannot run here (missing optional accelerator).
-
-    Engines stay *listed* even when their optional dependency is absent
-    (``repro backends`` shows availability and the reason), but
-    constructing one raises this with the remedy in the message.
-    """
+#: Backend names that resolve to another engine: ``auto``, and the
+#: retired engines merged into ``packed`` (still read so that old
+#: configs, model archives, session checkpoints and fleet manifests
+#: load).  The retired names are not offered as choices.
+_ALIASES = {
+    AUTO_ENGINE: PACKED_ENGINE,
+    "packed-fused": PACKED_ENGINE,
+    "packed-native": PACKED_ENGINE,
+}
 
 #: Windows completed per flush of the fused block sweep; bounds the
 #: live H scratch at ``(chunk, words)`` regardless of recording length.
@@ -161,8 +160,6 @@ class _EngineBase:
     name = "base"
     #: Whether H vectors natively live in packed uint64 words.
     native_packed = False
-    #: Whether the hot path fuses encode and classify.
-    fused = False
     #: Human-readable native window form, for the capability listing.
     window_form = "?"
     #: One-line capability summary, for the capability listing.
@@ -253,37 +250,20 @@ class _EngineBase:
         return self.classify_windows(memory, h)
 
     #: Cross-session grouped-sweep implementation used when every
-    #: session of a tick shares this engine; engines with a native
-    #: grouped kernel override it (same signature, bit-exact).
+    #: session of a tick shares this engine; an engine on the numba
+    #: kernels replaces it with the native twin (same signature,
+    #: bit-exact).
     grouped_kernel = staticmethod(grouped_classify_packed)
 
     # -- capability listing --------------------------------------------
 
     @classmethod
-    def available(cls) -> tuple[bool, str | None]:
-        """Whether the engine can be constructed here, with the reason.
-
-        Engines backed by optional accelerators override this; the
-        default toolchain (numpy) is always present.
-        """
-        return True, None
-
-    @classmethod
-    def auto_eligible(cls) -> bool:
-        """Whether ``auto`` may resolve to this engine on this host."""
-        return cls.available()[0]
-
-    @classmethod
     def describe(cls, dim: int = 10_000) -> dict:
         """Capability/word-layout row for the ``repro backends`` CLI."""
-        ok, why = cls.available()
         return {
             "name": cls.name,
             "window_form": cls.window_form,
             "width_at_dim": packed_words(dim) if cls.native_packed else dim,
-            "fused": cls.fused,
-            "available": ok,
-            "unavailable_reason": why,
             "summary": cls.summary,
         }
 
@@ -319,19 +299,71 @@ class UnpackedEngine(_EngineBase):
         memory.store(label, prototype)
 
 
+def use_native_kernels() -> bool:
+    """Whether a ``packed`` engine built now runs the numba kernels.
+
+    The single kernel-selection point: true exactly when numba imports.
+    Tests patch it to run the pure-Python twins of the numba kernels on
+    numba-free hosts (or the numpy kernels on numba hosts).
+    """
+    return native.numba_available()
+
+
 @register_engine
 class PackedEngine(_EngineBase):
-    """Word-domain engine: uint64 H vectors end to end (Sec. V-B)."""
+    """Word-domain engine: uint64 H vectors end to end (Sec. V-B).
+
+    Two fusions keep the hot paths lean:
+
+    * **block sweep** (:meth:`encode_classify`) — the code stream is fed
+      to the temporal encoder in slices sized to complete at most
+      ``_FUSED_WINDOW_CHUNK`` windows, and each slice's H vectors are
+      queried against the prototypes immediately and dropped, so the
+      intermediate ``(n_windows, words)`` H array is never materialised
+      (peak scratch is ``(chunk, words)``);
+    * **single-window streaming query** (:meth:`classify_windows` with
+      one native window, the per-tick shape of a live stream) — XOR into
+      a preallocated scratch against the memory's prototype block, one
+      popcount, one reduction; none of the layered re-validation,
+      re-packing or label-table rebuilds of the general path.
+
+    The kernels are attributes picked once at construction by
+    :func:`use_native_kernels`.  On the numba kernels
+    (:mod:`repro.hdc.native`) the spatial majority, the per-block
+    bundling tree, the prototype sweep and the grouped cross-session
+    sweep run as nogil prange loops; otherwise they run in numpy.  The
+    class, and every result bit, is the same either way.
+    """
 
     name = PACKED_ENGINE
     native_packed = True
     window_form = "uint64 (n, ceil(d/64))"
-    summary = "bit-parallel carry-save encoding, batched XOR+popcount sweep"
+    summary = (
+        "bit-parallel carry-save encoding, fused encode-classify block "
+        "sweep, preallocated single-window XOR+popcount query"
+    )
+
+    def __init__(self, code_memory, electrode_memory, spec) -> None:
+        #: Whether the numba kernels of :mod:`repro.hdc.native` run the
+        #: hot loops (else the numpy ones).
+        self.native = use_native_kernels()
+        super().__init__(code_memory, electrode_memory, spec)
+        self._xor_scratch: np.ndarray | None = None
+        #: Effective native kernel thread count (REPRO_NATIVE_THREADS,
+        #: clamped); 1 on the numpy kernels.
+        self.threads = 1
+        if self.native:
+            self.grouped_kernel = native.grouped_classify_packed_native
+            self.threads = native.apply_native_threads()
 
     def _build_spatial(self, code_memory, electrode_memory):
+        if self.native:
+            return native.NativeSpatialEncoder(code_memory, electrode_memory)
         return PackedSpatialEncoder(code_memory, electrode_memory)
 
     def temporal_encoder(self) -> PackedTemporalEncoder:
+        if self.native:
+            return native.NativeTemporalEncoder(self.spatial, self.spec)
         return PackedTemporalEncoder(self.spatial, self.spec)
 
     def accumulator(self) -> PackedPrototypeAccumulator:
@@ -340,37 +372,6 @@ class PackedEngine(_EngineBase):
     def store(self, memory: AssociativeMemory, label: int,
               prototype: np.ndarray) -> None:
         memory.store_packed(label, prototype)
-
-
-@register_engine
-class PackedFusedEngine(PackedEngine):
-    """Packed engine with a fused encode→classify hot path.
-
-    Two fusions on top of :class:`PackedEngine`:
-
-    * **block sweep** (:meth:`encode_classify`) — the code stream is fed
-      to the temporal encoder in slices sized to complete at most
-      ``_FUSED_WINDOW_CHUNK`` windows, and each slice's H vectors are
-      queried against the prototypes immediately and dropped, so the
-      intermediate ``(n_windows, words)`` H array of the packed path is
-      never materialised (peak scratch is ``(chunk, words)``);
-    * **single-window streaming query** (:meth:`classify_windows` with
-      one native window, the per-tick shape of a live stream) — XOR into
-      a preallocated scratch against the memory's prototype block, one
-      popcount, one reduction; none of the layered re-validation,
-      re-packing or label-table rebuilds of the general path.
-    """
-
-    name = PACKED_FUSED_ENGINE
-    fused = True
-    summary = (
-        "packed layout plus fused encode-classify block sweep and a "
-        "preallocated single-window streaming query"
-    )
-
-    def __init__(self, code_memory, electrode_memory, spec) -> None:
-        super().__init__(code_memory, electrode_memory, spec)
-        self._xor_scratch: np.ndarray | None = None
 
     def classify_windows(
         self, memory: AssociativeMemory, h: np.ndarray
@@ -395,6 +396,9 @@ class PackedFusedEngine(PackedEngine):
     ) -> tuple[np.ndarray, np.ndarray]:
         """XOR + popcount against the prototype block, minimal overhead."""
         block, label_table = memory.packed_block()
+        if self.native:  # one kernel call for any batch size
+            best, dists = native.sweep_classify_packed(arr, block)
+            return label_table[best], dists
         if arr.shape[0] == 1:
             scratch = self._xor_scratch
             if scratch is None or scratch.shape != block.shape:
@@ -438,15 +442,10 @@ class PackedFusedEngine(PackedEngine):
         )
 
 
-#: Fastest-first preference order used by the ``auto`` pseudo-engine;
-#: candidates whose :meth:`_EngineBase.auto_eligible` says no on this
-#: host (e.g. ``packed-native`` without numba) are skipped.
-_AUTO_PREFERENCE = (
-    PACKED_NATIVE_ENGINE,
-    PACKED_FUSED_ENGINE,
-    PACKED_ENGINE,
-    UNPACKED_ENGINE,
-)
+#: Pre-merge name of :class:`PackedEngine`, kept because the repository
+#: benchmark's tracer (``perfbench/layers.py``) imports it to wrap
+#: ``classify_windows`` and ``_fused_query``.
+PackedFusedEngine = PackedEngine
 
 
 def engine_names() -> tuple[str, ...]:
@@ -462,19 +461,15 @@ def backend_choices() -> tuple[str, ...]:
 def resolve_engine_name(name: str) -> str:
     """Resolve a backend string to a concrete registered engine name.
 
-    ``auto`` resolves to the fastest available engine; anything else
-    must be a registered name.
+    ``auto`` and the retired names ``packed-fused`` and
+    ``packed-native`` resolve to ``packed``; anything else must be a
+    registered name.  This is the only place the retired names are
+    read.
 
     Raises:
         ValueError: For unknown names, listing the valid choices.
     """
-    if name == AUTO_ENGINE:
-        for candidate in _AUTO_PREFERENCE:
-            if (
-                candidate in _REGISTRY
-                and _REGISTRY[candidate].auto_eligible()
-            ):
-                return candidate
+    name = _ALIASES.get(name, name)
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown compute engine {name!r}; valid choices are "
@@ -499,8 +494,6 @@ def build_engine(
 
     Raises:
         ValueError: For unknown names, listing the valid choices.
-        EngineUnavailableError: For a registered engine whose optional
-            accelerator is missing on this host.
     """
     return _REGISTRY[resolve_engine_name(name)](
         code_memory, electrode_memory, spec
@@ -511,16 +504,8 @@ def engine_capabilities(dim: int = 10_000) -> list[dict]:
     """Capability/word-layout rows for every registered engine.
 
     The data behind the ``repro backends`` CLI listing: one dict per
-    engine (name, native window form, trailing width at ``dim``, fused
-    flag, availability with reason, summary).  The ``auto``
-    pseudo-engine is not listed — ask :func:`resolve_engine_name` what
-    it currently resolves to.
+    engine (name, native window form, trailing width at ``dim``,
+    summary).  The ``auto`` pseudo-engine is not listed — ask
+    :func:`resolve_engine_name` what it resolves to.
     """
     return [cls.describe(dim) for cls in _REGISTRY.values()]
-
-
-# Importing the native module registers the ``packed-native`` engine
-# (kept in its own module so the optional numba import stays isolated
-# there — lint rule RPR010).  It must come last: native.py imports the
-# base classes defined above.
-from repro.hdc import native as _native  # noqa: E402,F401

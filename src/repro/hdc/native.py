@@ -1,4 +1,4 @@
-"""The ``packed-native`` engine: multithreaded, GIL-releasing kernels.
+"""The numba kernels of the ``packed`` engine: multithreaded, nogil.
 
 The two hot loops of the packed pipeline — the XOR+popcount sweep
 behind :meth:`repro.hdc.associative.AssociativeMemory.classify_packed`
@@ -18,16 +18,14 @@ sizing knob.
 
 numba is an *optional* accelerator.  This module is the only place in
 the tree allowed to import it (enforced by ``repro lint`` rule
-RPR010), and the import sits behind an availability guard: when numba
-is absent the engine still registers — ``repro backends`` lists it
-with ``available: no`` and the import error, ``auto`` skips it — and
-every kernel falls back to a pure-Python twin of itself (``njit``
+RPR010), and the import sits behind an availability guard.  The
+``packed`` engine (:mod:`repro.hdc.engine`) runs these kernels when
+numba imports and its numpy kernels otherwise.  Without numba every
+kernel here falls back to a pure-Python twin of itself (``njit``
 becomes the identity decorator, ``prange`` becomes ``range``).  The
-fallback is far too slow to serve with, but it lets the bit-exactness
-property suite exercise the exact kernel code on numba-free hosts;
-set ``REPRO_NATIVE_PURE_PYTHON=1`` to make the engine constructible
-there (testing/debug only — ``auto`` never resolves to it without
-real numba).
+twins are far too slow to serve with, but they let the bit-exactness
+property suite exercise the exact kernel code on numba-free hosts, by
+patching :func:`repro.hdc.engine.use_native_kernels`.
 
 Thread count is controlled by the ``REPRO_NATIVE_THREADS`` env knob
 (0 = numba's default), read at engine construction and clamped to the
@@ -41,29 +39,13 @@ import os
 
 import numpy as np
 
-from repro.hdc.associative import (
-    AssociativeMemory,
-    _validate_grouped,
-)
+from repro.hdc.associative import _validate_grouped
 from repro.hdc.bitsliced import plane_depth
-from repro.hdc.engine import (
-    PACKED_NATIVE_ENGINE,
-    EngineUnavailableError,
-    PackedFusedEngine,
-    register_engine,
-)
-from repro.hdc.item_memory import ItemMemory
 from repro.hdc.spatial_packed import PackedSpatialEncoder
 from repro.hdc.temporal_packed import PackedTemporalEncoder
-from repro.signal.windows import WindowSpec
 
 #: Env knob: worker thread count for the native kernels (0 = default).
 NATIVE_THREADS_ENV = "REPRO_NATIVE_THREADS"
-
-#: Env knob: allow constructing the engine on its pure-Python kernel
-#: twins when numba is absent.  Testing/debug only — orders of
-#: magnitude slower than ``packed-fused`` — so ``auto`` ignores it.
-NATIVE_PURE_PYTHON_ENV = "REPRO_NATIVE_PURE_PYTHON"
 
 _NUMBA_IMPORT_ERROR: str | None
 try:  # the availability guard required by lint rule RPR010
@@ -99,21 +81,6 @@ def numba_available() -> bool:
 def numba_unavailable_reason() -> str | None:
     """The numba import error message, or ``None`` when it imported."""
     return _NUMBA_IMPORT_ERROR
-
-
-def pure_python_forced() -> bool:
-    """Whether ``REPRO_NATIVE_PURE_PYTHON`` requests the fallback twins."""
-    return os.environ.get(NATIVE_PURE_PYTHON_ENV, "") not in ("", "0")
-
-
-def native_available() -> tuple[bool, str | None]:
-    """Constructibility of the engine: ``(available, reason_if_not)``."""
-    if numba_available() or pure_python_forced():
-        return True, None
-    return False, (
-        f"numba import failed ({_NUMBA_IMPORT_ERROR}); install numba or "
-        f"set {NATIVE_PURE_PYTHON_ENV}=1 for the slow pure-Python twins"
-    )
 
 
 # -- thread control -----------------------------------------------------
@@ -421,7 +388,7 @@ def native_bundle_exceeds(masks: np.ndarray, threshold: int) -> np.ndarray:
     return out.reshape(arr.shape[1:])
 
 
-# -- encoders and the engine --------------------------------------------
+# -- encoders -----------------------------------------------------------
 
 
 class NativeSpatialEncoder(PackedSpatialEncoder):
@@ -444,7 +411,8 @@ class NativeTemporalEncoder(PackedTemporalEncoder):
     Per-block digit planes come from the native carry-save kernel; the
     cheap cross-block combine (``blocks_per_window`` plane adds on
     ``(depth, words)`` arrays) and the checkpoint import/export stay on
-    the shared numpy path, so streaming state remains engine-independent.
+    the shared numpy path, so streaming state is the same on either kernel
+    set.
     Feeds never fork: the kernels already use every core, and forking
     once numba's threading layer has started is unsafe.
     """
@@ -454,60 +422,3 @@ class NativeTemporalEncoder(PackedTemporalEncoder):
 
     def _block_state(self, block_codes: np.ndarray) -> np.ndarray:
         return native_bitsliced_counts(self.spatial.encode_packed(block_codes))
-
-
-@register_engine
-class PackedNativeEngine(PackedFusedEngine):
-    """The ``packed-fused`` engine with both hot kernels JIT-parallelised.
-
-    Inherits the fused block/scratch discipline (block sweep bounded by
-    the window chunk, no H materialisation); replaces the sweep and the
-    bundling tree with the nogil prange kernels above and routes the
-    cross-session grouped sweep through its native twin.
-    """
-
-    name = PACKED_NATIVE_ENGINE
-    summary = (
-        "fused packed pipeline with numba-parallel nogil XOR+popcount "
-        "sweep and carry-save bundling kernels"
-    )
-    grouped_kernel = staticmethod(grouped_classify_packed_native)
-
-    def __init__(
-        self,
-        code_memory: ItemMemory,
-        electrode_memory: ItemMemory,
-        spec: WindowSpec,
-    ) -> None:
-        ok, why = native_available()
-        if not ok:
-            raise EngineUnavailableError(
-                f"compute engine {self.name!r} is unavailable: {why}"
-            )
-        super().__init__(code_memory, electrode_memory, spec)
-        #: Effective kernel thread count (REPRO_NATIVE_THREADS, clamped).
-        self.threads = apply_native_threads()
-
-    @classmethod
-    def available(cls) -> tuple[bool, str | None]:
-        return native_available()
-
-    @classmethod
-    def auto_eligible(cls) -> bool:
-        # Without real numba the pure-Python twins are orders of
-        # magnitude slower than packed-fused: never auto-select them.
-        return numba_available()
-
-    def _build_spatial(self, code_memory, electrode_memory):
-        return NativeSpatialEncoder(code_memory, electrode_memory)
-
-    def temporal_encoder(self) -> NativeTemporalEncoder:
-        return NativeTemporalEncoder(self.spatial, self.spec)
-
-    def _fused_query(
-        self, memory: AssociativeMemory, arr: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One kernel call for any batch size, no scratch needed."""
-        block, label_table = memory.packed_block()
-        best, dists = sweep_classify_packed(arr, block)
-        return label_table[best], dists

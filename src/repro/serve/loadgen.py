@@ -140,10 +140,11 @@ class LoadConfig:
         seizure_rate_per_min: Injected-seizure rate per session stream.
         n_templates: Distinct detector models cycled across sessions
             (training cost stays O(templates), not O(sessions)).
-        native_threads: Kernel threads per worker for the
-            ``packed-native`` engine (``REPRO_NATIVE_THREADS``),
-            exported to the environment before workers spawn so
-            N workers x M threads is explicit; 0 keeps the default.
+        native_threads: Kernel threads per worker for the numba
+            kernels of the ``packed`` engine (``REPRO_NATIVE_THREADS``;
+            no effect without numba), exported to the environment
+            before workers spawn so N workers x M threads is explicit;
+            0 keeps the default.
         transport: ``"direct"`` calls the gateway in-process (the
             default, and what the committed baselines measure);
             ``"socket"`` runs every tick through the asyncio service

@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import ICTAL, INTERICTAL, LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.training import TrainingSegments
-from repro.hdc.engine import PACKED_FUSED_ENGINE, UNPACKED_ENGINE
+from repro.hdc.engine import PACKED_ENGINE, UNPACKED_ENGINE
 
 
 class TestConstruction:
@@ -70,7 +70,7 @@ class TestFit:
         np.testing.assert_array_equal(det.memory.prototype(ICTAL), ictal)
         np.testing.assert_array_equal(det.memory.prototype(INTERICTAL), inter)
 
-    @pytest.mark.parametrize("backend", [UNPACKED_ENGINE, PACKED_FUSED_ENGINE])
+    @pytest.mark.parametrize("backend", [UNPACKED_ENGINE, PACKED_ENGINE])
     def test_fit_encodes_each_segment_once(
         self, mini_recording, small_config, backend, monkeypatch
     ):

@@ -13,8 +13,19 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from repro.core.persistence import load_model, load_sessions, save_model
+from repro.core.config import LaelapsConfig
+from repro.core.detector import LaelapsDetector
+from repro.core.persistence import (
+    load_model,
+    load_sessions,
+    save_model,
+    save_sessions,
+)
+from repro.core.sessions import StreamSessionManager
+from repro.core.streaming import StreamingLaelaps
+from repro.hdc.backend import random_bits
 from repro.hdc.engine import PackedEngine, UnpackedEngine
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
@@ -145,3 +156,102 @@ class TestGeneratorIsDeterministic:
             np.testing.assert_array_equal(
                 preds.distances, expected["distances"]
             )
+
+
+def _retag_archive(path: Path, retag) -> None:
+    """Rewrite the JSON meta of an ``.npz`` checkpoint in place."""
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(bytes(arrays.pop("meta").tobytes()).decode("utf-8"))
+    retag(meta)
+    np.savez_compressed(
+        path,
+        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        **arrays,
+    )
+
+
+def _events(events) -> list[tuple]:
+    return [(e.time_s, e.label, e.delta, e.alarm) for e in events]
+
+
+@pytest.mark.parametrize("retired", ["packed-fused", "packed-native"])
+class TestRetiredEngineNames:
+    """Names of the engines merged into ``packed`` still load onto it.
+
+    A config, a model archive and a mid-stream session checkpoint tagged
+    with a retired name each rebuild the ``packed`` engine and predict
+    bit-exactly against the ``unpacked`` oracle.
+    """
+
+    DIM = 129
+    FS = 128.0
+
+    def _fitted(self, backend: str) -> LaelapsDetector:
+        detector = LaelapsDetector(
+            4, LaelapsConfig(dim=self.DIM, fs=self.FS, seed=3,
+                             backend=backend)
+        )
+        detector.fit_from_windows(
+            random_bits((3, self.DIM), np.random.default_rng(1)),
+            random_bits((3, self.DIM), np.random.default_rng(2)),
+        )
+        detector.tr = 1.0
+        return detector
+
+    def _signal(self) -> np.ndarray:
+        return np.random.default_rng(9).standard_normal(
+            (int(8 * self.FS), 4)
+        )
+
+    def test_config(self, retired):
+        detector = self._fitted(retired)
+        assert type(detector.engine) is PackedEngine
+        assert detector.backend == "packed"
+        got = detector.predict(self._signal())
+        want = self._fitted("unpacked").predict(self._signal())
+        assert len(want) > 0
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.distances, want.distances)
+
+    def test_model_archive(self, retired, tmp_path):
+        oracle = self._fitted("unpacked")
+        path = save_model(oracle, tmp_path / "model.npz")
+
+        def retag(meta):
+            meta["engine"] = retired
+            meta["config"]["backend"] = retired
+
+        _retag_archive(path, retag)
+        detector = load_model(path)
+        assert type(detector.engine) is PackedEngine
+        got = detector.predict(self._signal())
+        want = oracle.predict(self._signal())
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.distances, want.distances)
+        assert detector.tr == oracle.tr
+
+    def test_session_checkpoint(self, retired, tmp_path):
+        signal = self._signal()
+        half = signal.shape[0] // 2
+        expected = StreamingLaelaps(self._fitted("unpacked")).run(signal, 23)
+
+        manager = StreamSessionManager()
+        manager.open("p0", self._fitted("unpacked"))
+        events = []
+        for lo in range(0, half, 23):
+            events.extend(manager.push("p0", signal[lo : lo + 23]))
+        path = save_sessions(manager, tmp_path / "sessions.npz")
+
+        def retag(meta):
+            for session in meta["sessions"]:
+                session["engine"] = retired
+
+        _retag_archive(path, retag)
+        resumed = load_sessions(path)
+        stream = resumed.session("p0")
+        assert type(stream.detector.engine) is PackedEngine
+        for lo in range(stream.samples_seen, signal.shape[0], 23):
+            events.extend(resumed.push("p0", signal[lo : lo + 23]))
+        assert len(expected) > 0
+        assert _events(events) == _events(expected)

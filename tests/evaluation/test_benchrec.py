@@ -25,7 +25,7 @@ def _record(**overrides) -> BenchRecord:
         name="load_slo",
         machine=machine_fingerprint(),
         git_sha="a" * 40,
-        engine="packed-fused",
+        engine="packed",
         config={"n_sessions": 8, "dim": 256},
         metrics={"tick_latency_p99_ms": 4.5, "throughput_windows_per_s": 900.0},
     )

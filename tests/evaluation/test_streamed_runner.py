@@ -2,7 +2,7 @@
 
 The contract under test: :func:`predict_windows_streamed` produces the
 *same* labels, distances, deltas and decision times as the batched
-``predict`` sweep for every compute engine, every chunk size (including
+``predict`` sweep for every compute engine and kernel set, every chunk size (including
 chunks smaller than the LBP length and chunks that straddle analysis
 windows), on in-RAM arrays and on memmap views alike.  The chunk size
 is a memory knob, never a semantics knob.
@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hdc.engine as engine_module
 from repro.core.config import LaelapsConfig
 from repro.core.detector import LaelapsDetector
+from repro.core.persistence import detector_from_payload, detector_payload
 from repro.core.training import TrainingSegments
 from repro.data.outofcore import (
     CohortSpec,
@@ -29,52 +31,54 @@ from repro.evaluation.runner import (
     predict_windows_streamed,
     run_patient,
 )
-from repro.hdc.engine import build_engine
+from repro.hdc.engine import PACKED_ENGINE, UNPACKED_ENGINE
+from repro.hdc.native import numba_available
 
 _FS = 256.0
 _SEGMENTS = TrainingSegments(ictal=((60.0, 75.0),), interictal=(15.0, 45.0))
 
 
-def _engine_available(backend: str) -> bool:
-    try:
-        cfg = LaelapsConfig(dim=512, fs=_FS, backend=backend)
-        det = LaelapsDetector(2, cfg)
-        return det.backend is not None
-    except RuntimeError:
-        return False
+#: The packed engine on its numba kernels (their pure-Python twins on
+#: numba-free hosts, far slower, hence a shorter signal there).
+_NATIVE = "packed-native-kernels"
 
 
 @pytest.fixture(scope="module")
 def fitted():
-    """A fitted detector per engine plus the recording it was fit on."""
+    """A fitted detector per engine and kernel set, plus the recording."""
     recording = SyntheticIEEGGenerator(
         8, SynthesisParams(fs=_FS), seed=21
     ).generate(120.0, None)
     # Plant the training classes directly: an ictal-looking segment is
     # not needed for the equivalence property, only two prototypes.
     detectors = {}
-    for backend in ("unpacked", "packed", "packed-fused", "packed-native"):
-        if not _engine_available(backend):
-            continue
+    for backend in (UNPACKED_ENGINE, PACKED_ENGINE):
         det = LaelapsDetector(
             8, LaelapsConfig(dim=512, fs=_FS, backend=backend)
         )
         det.fit(recording.data, _SEGMENTS)
         detectors[backend] = det
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "use_native_kernels", lambda: True)
+        detectors[_NATIVE] = detector_from_payload(
+            detector_payload(detectors[PACKED_ENGINE])
+        )
+    assert detectors[_NATIVE].engine.native
     return recording, detectors
 
 
 class TestBitExactness:
     @pytest.mark.parametrize(
-        "backend", ("unpacked", "packed", "packed-fused", "packed-native")
+        "backend", (UNPACKED_ENGINE, PACKED_ENGINE, _NATIVE)
     )
     @pytest.mark.parametrize("chunk_samples", (127, 333, 4096, 10**9))
     def test_every_engine_every_chunking(self, fitted, backend, chunk_samples):
         recording, detectors = fitted
-        if backend not in detectors:
-            pytest.skip(f"engine {backend} unavailable")
         detector = detectors[backend]
-        signal = recording.data[: int(45.0 * _FS)]
+        seconds = 45.0
+        if backend == _NATIVE and not numba_available():
+            seconds = 10.0
+        signal = recording.data[: int(seconds * _FS)]
         batch = predict_windows(detector, signal)
         streamed = predict_windows_streamed(detector, signal, chunk_samples)
         np.testing.assert_array_equal(streamed.labels, batch.labels)

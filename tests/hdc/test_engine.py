@@ -11,7 +11,6 @@ from repro.hdc.engine import (
     AUTO_ENGINE,
     ComputeEngine,
     PackedEngine,
-    PackedFusedEngine,
     UnpackedEngine,
     backend_choices,
     build_engine,
@@ -34,24 +33,29 @@ def _engine(name: str, dim: int = 100):
 
 class TestRegistry:
     def test_registered_names(self):
-        assert engine_names() == (
-            "unpacked", "packed", "packed-fused", "packed-native",
-        )
+        assert engine_names() == ("unpacked", "packed")
 
     def test_backend_choices_append_auto(self):
         assert backend_choices() == (*engine_names(), AUTO_ENGINE)
         assert BACKENDS == backend_choices()
 
-    def test_auto_resolves_to_fastest_eligible(self):
-        # packed-native leads the preference order but only when real
-        # numba backs it; otherwise auto lands on packed-fused.
-        from repro.hdc.native import numba_available
+    def test_auto_resolves_to_fastest_eligible(self, monkeypatch):
+        # packed is the fastest engine at every probed shape, on either
+        # kernel set, so auto lands on it whatever numba's status.
+        for numba_kernels in (False, True):
+            monkeypatch.setattr(
+                engine_module, "use_native_kernels", lambda v=numba_kernels: v
+            )
+            assert resolve_engine_name(AUTO_ENGINE) == "packed"
 
-        expected = "packed-native" if numba_available() else "packed-fused"
-        assert resolve_engine_name(AUTO_ENGINE) == expected
+    @pytest.mark.parametrize("retired", ["packed-fused", "packed-native"])
+    def test_retired_names_resolve_to_packed(self, retired):
+        assert resolve_engine_name(retired) == "packed"
+        assert type(_engine(retired)) is PackedEngine
+        assert retired not in backend_choices()
 
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError, match="packed-fused"):
+        with pytest.raises(ValueError, match="'unpacked', 'packed', 'auto'"):
             resolve_engine_name("gpu")
         with pytest.raises(ValueError, match="valid choices"):
             build_engine(
@@ -74,11 +78,12 @@ class TestRegistry:
         assert "dummy-test-engine" not in engine_names()
 
     def test_instances_satisfy_protocol(self, monkeypatch):
-        from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
-
-        monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
-        for name in engine_names():
-            assert isinstance(_engine(name), ComputeEngine)
+        for numba_kernels in (False, True):
+            monkeypatch.setattr(
+                engine_module, "use_native_kernels", lambda v=numba_kernels: v
+            )
+            for name in engine_names():
+                assert isinstance(_engine(name), ComputeEngine)
 
     def test_mismatched_item_memories_rejected(self):
         with pytest.raises(ValueError, match="share a dimension"):
@@ -93,22 +98,13 @@ class TestCapabilities:
         assert [row["name"] for row in rows] == list(engine_names())
         for row in rows:
             assert set(row) == {
-                "name", "window_form", "width_at_dim", "fused",
-                "available", "unavailable_reason", "summary",
+                "name", "window_form", "width_at_dim", "summary",
             }
-            assert row["available"] == (row["unavailable_reason"] is None)
 
     def test_word_layout_widths(self):
         by_name = {row["name"]: row for row in engine_capabilities(130)}
         assert by_name["unpacked"]["width_at_dim"] == 130
         assert by_name["packed"]["width_at_dim"] == packed_words(130) == 3
-        assert by_name["packed-fused"]["width_at_dim"] == 3
-
-    def test_fused_engines_are_the_fused_family(self):
-        fused = {
-            row["name"] for row in engine_capabilities() if row["fused"]
-        }
-        assert fused == {"packed-fused", "packed-native"}
 
 
 class TestWindowForms:
@@ -125,7 +121,7 @@ class TestWindowForms:
             engine.windows_2d(np.zeros((3, 7), dtype=np.uint8))
 
     def test_pack_queries_round_trips(self):
-        engine = _engine("packed-fused", dim=100)
+        engine = _engine("packed", dim=100)
         bits = random_bits((4, 100), np.random.default_rng(1))
         packed = engine.pack_queries(bits)
         np.testing.assert_array_equal(packed, pack_bits(bits))
@@ -146,13 +142,12 @@ class TestDetectorIntegration:
         detector = LaelapsDetector(4, LaelapsConfig(dim=256, backend="auto"))
         assert detector.backend == resolve_engine_name(AUTO_ENGINE)
         assert detector.config.backend == "auto"
-        assert isinstance(detector.engine, PackedFusedEngine)
+        assert type(detector.engine) is PackedEngine
 
     def test_named_engines_construct(self):
         for name, cls in (
             ("unpacked", UnpackedEngine),
             ("packed", PackedEngine),
-            ("packed-fused", PackedFusedEngine),
         ):
             detector = LaelapsDetector(
                 4, LaelapsConfig(dim=256, backend=name)

@@ -1,4 +1,4 @@
-"""Tests for repro.hdc.native (the packed-native engine).
+"""Tests for repro.hdc.native (the numba kernels of the packed engine).
 
 The kernels run in every environment: with numba installed they
 exercise the JIT-compiled parallel path (the ``native-engine`` CI job),
@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.hdc.engine as engine_module
 import repro.hdc.native as native_module
 from repro.cli import main
 from repro.core.config import LaelapsConfig
@@ -25,25 +26,19 @@ from repro.hdc.bitsliced import (
 )
 from repro.hdc.engine import (
     AUTO_ENGINE,
-    PACKED_FUSED_ENGINE,
-    PACKED_NATIVE_ENGINE,
-    EngineUnavailableError,
-    PackedFusedEngine,
+    PACKED_ENGINE,
+    PackedEngine,
     build_engine,
-    engine_capabilities,
     resolve_engine_name,
 )
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.native import (
-    NATIVE_PURE_PYTHON_ENV,
     NATIVE_THREADS_ENV,
     NativeSpatialEncoder,
     NativeTemporalEncoder,
-    PackedNativeEngine,
     apply_native_threads,
     configure_native_threads,
     grouped_classify_packed_native,
-    native_available,
     native_bitsliced_counts,
     native_bundle_exceeds,
     numba_available,
@@ -62,15 +57,22 @@ pytestmark = pytest.mark.native
 SPEC = WindowSpec.from_seconds(1.0, 0.5, 32.0)
 
 
+def _select_kernels(monkeypatch, numba_kernels: bool) -> None:
+    """Patch the single kernel-selection point of the packed engine."""
+    monkeypatch.setattr(
+        engine_module, "use_native_kernels", lambda: numba_kernels
+    )
+
+
 @pytest.fixture()
-def pure_python_ok(monkeypatch):
-    """Make the engine constructible on numba-free hosts."""
-    monkeypatch.setenv(NATIVE_PURE_PYTHON_ENV, "1")
+def native_kernels(monkeypatch):
+    """Build packed engines on the native kernels (twins without numba)."""
+    _select_kernels(monkeypatch, True)
 
 
-def _native_engine(dim: int = 100) -> PackedNativeEngine:
+def _packed_engine(dim: int = 100) -> PackedEngine:
     return build_engine(
-        PACKED_NATIVE_ENGINE,
+        PACKED_ENGINE,
         ItemMemory(8, dim, seed=1),
         ItemMemory(4, dim, seed=2),
         SPEC,
@@ -133,12 +135,13 @@ class TestSweepKernel:
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_array_equal(dists, ref_dists)
 
-    def test_grouped_kernel_hook_is_the_native_twin(self):
+    def test_grouped_kernel_hook_is_the_native_twin(self, monkeypatch):
+        _select_kernels(monkeypatch, True)
         assert (
-            PackedNativeEngine.grouped_kernel
-            is grouped_classify_packed_native
+            _packed_engine().grouped_kernel is grouped_classify_packed_native
         )
-        assert PackedFusedEngine.grouped_kernel is grouped_classify_packed
+        _select_kernels(monkeypatch, False)
+        assert _packed_engine().grouped_kernel is grouped_classify_packed
 
 
 class TestBundlingKernels:
@@ -212,60 +215,54 @@ class TestNativeEncoders:
 
 
 class TestAvailability:
-    def test_unavailable_without_numba_or_env(self, monkeypatch):
-        monkeypatch.delenv(NATIVE_PURE_PYTHON_ENV, raising=False)
+    """The packed engine picks its kernels by numba's availability."""
+
+    def test_numpy_kernels_without_numba(self, monkeypatch):
         monkeypatch.setattr(
             native_module, "_NUMBA_IMPORT_ERROR", "No module named 'numba'"
         )
-        ok, why = native_available()
-        assert ok is False
-        assert "numba" in why and NATIVE_PURE_PYTHON_ENV in why
-        with pytest.raises(EngineUnavailableError, match="unavailable"):
-            _native_engine()
-        rows = {r["name"]: r for r in engine_capabilities()}
-        row = rows[PACKED_NATIVE_ENGINE]
-        assert row["available"] is False
-        assert "numba" in row["unavailable_reason"]
-        assert resolve_engine_name(AUTO_ENGINE) == PACKED_FUSED_ENGINE
+        engine = _packed_engine()
+        assert type(engine) is PackedEngine
+        assert engine.native is False
+        assert type(engine.spatial) is PackedSpatialEncoder
+        assert type(engine.temporal_encoder()) is PackedTemporalEncoder
+        assert engine.grouped_kernel is grouped_classify_packed
+        assert resolve_engine_name(AUTO_ENGINE) == PACKED_ENGINE
 
     def test_auto_prefers_native_with_real_numba(self, monkeypatch):
         monkeypatch.setattr(native_module, "_NUMBA_IMPORT_ERROR", None)
-        assert resolve_engine_name(AUTO_ENGINE) == PACKED_NATIVE_ENGINE
+        assert engine_module.use_native_kernels() is True
+        assert resolve_engine_name(AUTO_ENGINE) == PACKED_ENGINE
 
-    def test_pure_python_env_constructs_but_never_auto(
-        self, pure_python_ok, monkeypatch
+    def test_patched_selection_builds_the_native_kernels(
+        self, native_kernels
     ):
-        engine = _native_engine()
-        assert isinstance(engine, PackedNativeEngine)
-        # The env knob only unlocks construction; auto still requires
-        # the real JIT.
-        monkeypatch.setattr(
-            native_module, "_NUMBA_IMPORT_ERROR", "No module named 'numba'"
-        )
-        assert resolve_engine_name(AUTO_ENGINE) == PACKED_FUSED_ENGINE
-        rows = {r["name"]: r for r in engine_capabilities()}
-        assert rows[PACKED_NATIVE_ENGINE]["available"] is True
+        # Kernels are attributes, not subclasses: the engine stays
+        # exactly the registered class on either kernel set.
+        engine = _packed_engine()
+        assert type(engine) is PackedEngine
+        assert engine.native is True
+        assert type(engine.spatial) is NativeSpatialEncoder
+        assert type(engine.temporal_encoder()) is NativeTemporalEncoder
+        assert engine.grouped_kernel is grouped_classify_packed_native
+        assert resolve_engine_name(AUTO_ENGINE) == PACKED_ENGINE
 
     def test_backends_cli_reports_unavailability(self, monkeypatch, capsys):
-        monkeypatch.delenv(NATIVE_PURE_PYTHON_ENV, raising=False)
         monkeypatch.setattr(
             native_module, "_NUMBA_IMPORT_ERROR", "No module named 'numba'"
         )
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        row = next(
-            line for line in out.splitlines()
-            if line.startswith(PACKED_NATIVE_ENGINE)
-        )
-        assert " no " in row  # the Avail column
-        assert "unavailable on this host" in out
+        assert "'packed' runs on this host on numpy kernels" in out
         assert "No module named 'numba'" in out
+        assert "Fused" not in out and "Avail" not in out
 
     def test_backends_cli_silent_when_available(self, monkeypatch, capsys):
         monkeypatch.setattr(native_module, "_NUMBA_IMPORT_ERROR", None)
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "unavailable on this host" not in out
+        assert "'packed' runs on this host on numba kernels." in out
+        assert "numpy kernels" not in out
 
 
 class TestNumbaAbsentReload:
@@ -274,7 +271,6 @@ class TestNumbaAbsentReload:
         import builtins
 
         real_import = builtins.__import__
-        saved_env = os.environ.pop(NATIVE_PURE_PYTHON_ENV, None)
 
         def no_numba(name, *args, **kwargs):
             if name == "numba" or name.startswith("numba."):
@@ -296,15 +292,13 @@ class TestNumbaAbsentReload:
             )
             assert best.tolist() == [1]
             assert dists.tolist() == [[2, 0]]
-            # ...threads pin to 1, and the registry degrades gracefully.
+            # ...threads pin to 1, and packed falls back to numpy.
             assert native_module.apply_native_threads(4) == 1
-            rows = {r["name"]: r for r in engine_capabilities()}
-            assert rows[PACKED_NATIVE_ENGINE]["available"] is False
-            assert resolve_engine_name(AUTO_ENGINE) == PACKED_FUSED_ENGINE
+            assert engine_module.use_native_kernels() is False
+            assert _packed_engine().native is False
+            assert resolve_engine_name(AUTO_ENGINE) == PACKED_ENGINE
         finally:
             builtins.__import__ = real_import
-            if saved_env is not None:
-                os.environ[NATIVE_PURE_PYTHON_ENV] = saved_env
             importlib.reload(native_module)
 
 
@@ -341,10 +335,10 @@ class TestThreadKnob:
         apply_native_threads(0)
 
     def test_engine_records_effective_threads(
-        self, pure_python_ok, monkeypatch
+        self, native_kernels, monkeypatch
     ):
         monkeypatch.setenv(NATIVE_THREADS_ENV, "2")
-        engine = _native_engine()
+        engine = _packed_engine()
         if numba_available():
             assert engine.threads >= 1
         else:
@@ -371,21 +365,23 @@ class TestThreadKnob:
 
 
 class TestEngineParity:
-    def test_full_pipeline_matches_packed_fused(self, pure_python_ok):
+    def test_full_pipeline_matches_numpy_kernels(self, monkeypatch):
         rng = np.random.default_rng(11)
         signal = rng.standard_normal((3 * 128, 4))
         predictions = {}
-        for backend in (PACKED_FUSED_ENGINE, PACKED_NATIVE_ENGINE):
+        for numba_kernels in (False, True):
+            _select_kernels(monkeypatch, numba_kernels)
             detector = LaelapsDetector(
-                4, LaelapsConfig(dim=129, fs=128.0, seed=5, backend=backend)
+                4, LaelapsConfig(dim=129, fs=128.0, seed=5,
+                                 backend=PACKED_ENGINE)
             )
+            assert detector.engine.native is numba_kernels
             detector.fit_from_windows(
                 random_bits((3, 129), np.random.default_rng(1)),
                 random_bits((3, 129), np.random.default_rng(2)),
             )
-            predictions[backend] = detector.predict(signal)
-        fused = predictions[PACKED_FUSED_ENGINE]
-        nat = predictions[PACKED_NATIVE_ENGINE]
+            predictions[numba_kernels] = detector.predict(signal)
+        numpy_preds, nat = predictions[False], predictions[True]
         assert len(nat) > 0
-        np.testing.assert_array_equal(nat.labels, fused.labels)
-        np.testing.assert_array_equal(nat.distances, fused.distances)
+        np.testing.assert_array_equal(nat.labels, numpy_preds.labels)
+        np.testing.assert_array_equal(nat.distances, numpy_preds.distances)

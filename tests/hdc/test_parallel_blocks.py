@@ -20,12 +20,7 @@ from repro.core.config import LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.training import TrainingSegments
 from repro.hdc import parallel, temporal
-from repro.hdc.engine import (
-    PACKED_ENGINE,
-    PACKED_FUSED_ENGINE,
-    UNPACKED_ENGINE,
-    build_engine,
-)
+from repro.hdc.engine import PACKED_ENGINE, UNPACKED_ENGINE, build_engine
 from repro.hdc.item_memory import ItemMemory
 from repro.hdc.native import NativeSpatialEncoder, NativeTemporalEncoder
 from repro.hdc.parallel import ForkWorkerError, fork_map
@@ -40,7 +35,7 @@ N_ELECTRODES = 8
 N_CODES = 64
 SPEC = WindowSpec(window_samples=32, step_samples=16)
 STEP = SPEC.step_samples
-ENGINES = (UNPACKED_ENGINE, PACKED_ENGINE, PACKED_FUSED_ENGINE)
+ENGINES = (UNPACKED_ENGINE, PACKED_ENGINE)
 
 
 def _no_fork():
@@ -231,7 +226,7 @@ class TestGuards:
         assert out.shape[0] == 3
 
     def test_no_fork_on_a_one_block_streaming_push(self, forced):
-        encoder = _engine(PACKED_FUSED_ENGINE).temporal_encoder()
+        encoder = _engine(PACKED_ENGINE).temporal_encoder()
         codes = _codes(3 * STEP + 4)
         encoder.feed(codes[:STEP])
         encoder.feed(codes[STEP : 2 * STEP + 4])  # pending + one block

@@ -1,21 +1,23 @@
-"""Property tests: every registered compute engine is bit-exact.
+"""Property tests: every engine, on every kernel set, is bit-exact.
 
-The tentpole contract of :mod:`repro.hdc.engine`: the ``unpacked``,
-``packed``, ``packed-fused`` and ``packed-native`` engines produce
-identical prototypes, labels, Hamming distances and stream events on
-arbitrary inputs — over odd dimensions (padding bits in the top word),
-ragged stream chunking, mixed-engine session fleets sharing one grouped
-sweep, and mid-stream checkpoint/restore where the checkpoint is
-reopened on a *different* engine than the one that wrote it.
+The tentpole contract of :mod:`repro.hdc.engine`: the ``unpacked``
+oracle and the ``packed`` engine, on its numpy kernels and on the numba
+kernels of :mod:`repro.hdc.native`, produce identical prototypes,
+labels, Hamming distances and stream events on arbitrary inputs — over
+odd dimensions (padding bits in the top word), ragged stream chunking,
+mixed-kernel session fleets sharing one grouped sweep, and mid-stream
+checkpoint/restore where the checkpoint is reopened on a *different*
+representation or kernel set than the one that wrote it.
 
-``packed-native`` participates on every host: with numba installed (the
-``native-engine`` CI job) its kernels run JIT-compiled and parallel,
-without it the module-scoped fixture below forces the pure-Python
-kernel twins — the exact same kernel code, so bit-exactness holds in
-both environments.
+The native kernels take part on every host: with numba installed (the
+``native-engine`` CI job) they run JIT-compiled and parallel, without
+it as their pure-Python twins — the exact same kernel code, so
+bit-exactness holds in both environments.  The kernel set is chosen by
+patching the engine's single selection point,
+:func:`repro.hdc.engine.use_native_kernels`.
 """
 
-import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -28,27 +30,31 @@ from repro.core.detector import LaelapsDetector
 from repro.core.sessions import StreamSessionManager
 from repro.core.streaming import StreamingLaelaps
 from repro.hdc.backend import random_bits, unpack_bits
-from repro.hdc.engine import PACKED_NATIVE_ENGINE, engine_names
-from repro.hdc.native import NATIVE_PURE_PYTHON_ENV
+from repro.hdc.engine import PACKED_ENGINE, UNPACKED_ENGINE
 
-ENGINES = engine_names()
+#: The axis every property runs over, representation x kernels:
+#: variant name -> (backend, whether packed runs the numba kernels).
+VARIANTS = {
+    "unpacked": (UNPACKED_ENGINE, False),
+    "packed": (PACKED_ENGINE, False),
+    "packed-native-kernels": (PACKED_ENGINE, True),
+}
+ENGINES = tuple(VARIANTS)
+NATIVE = "packed-native-kernels"
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _native_engine_constructible():
-    """Let ``packed-native`` build on numba-free hosts (pure-Python twins).
+@contextmanager
+def _kernels(variant: str):
+    """Build engines inside on ``variant``'s kernel set."""
+    saved = engine_module.use_native_kernels
+    native = VARIANTS[variant][1]
+    engine_module.use_native_kernels = lambda: native
+    try:
+        yield VARIANTS[variant][0]
+    finally:
+        engine_module.use_native_kernels = saved
 
-    Module-scoped (not function-scoped) so hypothesis's
-    function_scoped_fixture health check stays quiet; restores the
-    environment on the way out.
-    """
-    previous = os.environ.get(NATIVE_PURE_PYTHON_ENV)
-    os.environ[NATIVE_PURE_PYTHON_ENV] = "1"
-    yield
-    if previous is None:
-        os.environ.pop(NATIVE_PURE_PYTHON_ENV, None)
-    else:
-        os.environ[NATIVE_PURE_PYTHON_ENV] = previous
+
 #: Dimensions straddling word boundaries: d % 64 in {63, 0, 1, ...}.
 ODD_DIMS = st.sampled_from([63, 64, 65, 127, 129, 200, 257])
 FS = 32.0  # 32-sample windows, 16-sample blocks: fast under hypothesis
@@ -56,16 +62,19 @@ FS = 32.0  # 32-sample windows, 16-sample blocks: fast under hypothesis
 
 def _fitted(engine: str, dim: int, rng: np.random.Generator,
             n_electrodes: int = 3) -> LaelapsDetector:
-    """A fitted detector on ``engine``, trained from shared unpacked H.
+    """A fitted detector on variant ``engine``, trained from shared H.
 
     Every engine accepts the unpacked window form, so training all
-    engines from the same uint8 windows checks the training dispatch
+    variants from the same uint8 windows checks the training dispatch
     (``engine.train``) as well as the query path.
     """
-    detector = LaelapsDetector(
-        n_electrodes,
-        LaelapsConfig(dim=dim, fs=FS, lbp_length=3, seed=11, backend=engine),
-    )
+    with _kernels(engine) as backend:
+        detector = LaelapsDetector(
+            n_electrodes,
+            LaelapsConfig(dim=dim, fs=FS, lbp_length=3, seed=11,
+                          backend=backend),
+        )
+    assert getattr(detector.engine, "native", False) is VARIANTS[engine][1]
     detector.fit_from_windows(
         random_bits((4, dim), np.random.default_rng(rng.integers(2**31))),
         random_bits((4, dim), np.random.default_rng(rng.integers(2**31))),
@@ -146,7 +155,7 @@ class TestBatchEquivalence:
 
 
 class TestFusedSweep:
-    """The fused block sweep equals encode-everything-then-classify."""
+    """The packed engine's fused paths equal the primitives they replace."""
 
     @pytest.mark.parametrize("chunk_windows", [1, 2, 3, 7])
     def test_block_sweep_matches_unfused(self, monkeypatch, chunk_windows):
@@ -155,41 +164,42 @@ class TestFusedSweep:
         monkeypatch.setattr(
             engine_module, "_FUSED_WINDOW_CHUNK", chunk_windows
         )
-        rng = np.random.default_rng(5)
-        fused = _fitted("packed-fused", 129, np.random.default_rng(9))
-        packed = _fitted("packed", 129, np.random.default_rng(9))
-        signal = _signal(rng, 8.0)
-        preds_fused = fused.predict(signal)
-        preds_packed = packed.predict(signal)
-        assert len(preds_fused) > chunk_windows  # really crossed slices
-        np.testing.assert_array_equal(
-            preds_fused.labels, preds_packed.labels
-        )
-        np.testing.assert_array_equal(
-            preds_fused.distances, preds_packed.distances
-        )
+        signal = _signal(np.random.default_rng(5), 8.0)
+        for variant in ("packed", NATIVE):
+            detector = _fitted(variant, 129, np.random.default_rng(9))
+            preds = detector.predict(signal)
+            # encode_all, then one batched sweep over the whole H array.
+            labels, dists = detector.memory.classify_packed(
+                detector.encode(signal)
+            )
+            assert len(preds) > chunk_windows  # really crossed slices
+            np.testing.assert_array_equal(preds.labels, labels)
+            np.testing.assert_array_equal(preds.distances, dists)
 
     def test_single_window_scratch_query(self):
         """The preallocated streaming query equals the general sweep."""
         rng = np.random.default_rng(6)
-        fused = _fitted("packed-fused", 200, np.random.default_rng(3))
-        packed = _fitted("packed", 200, np.random.default_rng(3))
+        detector = _fitted("packed", 200, np.random.default_rng(3))
+        native = _fitted(NATIVE, 200, np.random.default_rng(3))
         for _ in range(5):  # reuses the scratch across calls
-            window = random_bits((1, 200), rng)
-            query = fused.engine.pack_queries(window)
-            labels_f, dists_f = fused.engine.classify_windows(
-                fused.memory, query
-            )
-            labels_p, dists_p = packed.memory.classify_packed(query)
-            np.testing.assert_array_equal(labels_f, labels_p)
-            np.testing.assert_array_equal(dists_f, dists_p)
+            query = detector.engine.pack_queries(random_bits((1, 200), rng))
+            expected = detector.memory.classify_packed(query)
+            for fitted in (detector, native):
+                labels, dists = fitted.engine.classify_windows(
+                    fitted.memory, query
+                )
+                np.testing.assert_array_equal(labels, expected[0])
+                np.testing.assert_array_equal(dists, expected[1])
 
     def test_empty_code_stream(self):
-        fused = _fitted("packed-fused", 65, np.random.default_rng(3))
         codes = np.zeros((0, 3), dtype=np.int64)
-        labels, dists = fused.engine.encode_classify(fused.memory, codes)
-        assert labels.shape == (0,)
-        assert dists.shape == (0, 2)
+        for variant in ("packed", NATIVE):
+            detector = _fitted(variant, 65, np.random.default_rng(3))
+            labels, dists = detector.engine.encode_classify(
+                detector.memory, codes
+            )
+            assert labels.shape == (0,)
+            assert dists.shape == (0, 2)
 
 
 @st.composite
@@ -228,18 +238,26 @@ class TestStreamingEquivalence:
 
 class TestMixedEngineFleet:
     @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([5, 11, 16, 37]))
-    def test_grouped_sweep_matches_solo_streams(self, seed, chunk):
-        """One manager serving every engine at once is bit-exact."""
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([5, 11, 16, 37]),
+        st.sampled_from([ENGINES, (NATIVE, NATIVE)]),
+    )
+    def test_grouped_sweep_matches_solo_streams(self, seed, chunk, fleet):
+        """One manager serving every variant at once is bit-exact.
+
+        A mixed fleet ticks on the shared numpy grouped sweep; a fleet
+        all on the native kernels ticks on their grouped twin.
+        """
         dim = 127
         rng = np.random.default_rng(seed)
         manager = StreamSessionManager()
         solo = {}
         signals = {}
-        for i, engine in enumerate(ENGINES):
+        for i, engine in enumerate(fleet):
             detector = _fitted(engine, dim, np.random.default_rng(seed + i))
             twin = _fitted(engine, dim, np.random.default_rng(seed + i))
-            session_id = f"s-{engine}"
+            session_id = f"s{i}-{engine}"
             manager.open(session_id, detector)
             solo[session_id] = StreamingLaelaps(twin)
             signals[session_id] = _signal(
@@ -281,7 +299,7 @@ class TestCheckpointAcrossEngines:
 def _roundtrip_checkpoint(
     engine_a: str, engine_b: str, seed: int, cut_chunk: int, dim: int = 100
 ) -> None:
-    """Checkpoint mid-stream on ``engine_a``, resume on ``engine_b``."""
+    """Checkpoint mid-stream on one variant, resume on another."""
     signal = _signal(np.random.default_rng(seed + 1), 5.0)
     half = signal.shape[0] // 2
 
@@ -300,12 +318,17 @@ def _roundtrip_checkpoint(
             manager.push("p0", signal[start : start + cut_chunk])
         )
     payload = manager.pop_session("p0")
-    assert payload["model"]["engine"] == engine_a
+    assert payload["model"]["engine"] == VARIANTS[engine_a][0]
 
-    payload["model"]["engine"] = engine_b
     resumed = StreamSessionManager()
-    stream = resumed.import_session("p0", payload)
-    assert stream.detector.backend == engine_b
+    with _kernels(engine_b) as backend_b:
+        payload["model"]["engine"] = backend_b
+        stream = resumed.import_session("p0", payload)
+    assert stream.detector.backend == backend_b
+    assert (
+        getattr(stream.detector.engine, "native", False)
+        is VARIANTS[engine_b][1]
+    )
     consumed = stream.samples_seen
     for lo in range(consumed, signal.shape[0], cut_chunk):
         events.extend(resumed.push("p0", signal[lo : lo + cut_chunk]))
@@ -315,18 +338,18 @@ def _roundtrip_checkpoint(
 
 
 class TestNativeCheckpointDirections:
-    """Explicit to/from ``packed-native`` restore coverage, both ways.
+    """Explicit to/from native-kernel restore coverage, both ways.
 
-    The hypothesis test above samples engine pairs; these pin the four
-    native-engine directions so every run exercises them, odd dim and
+    The hypothesis test above samples variant pairs; these pin the four
+    native-kernel directions so every run exercises them, odd dim and
     mid-window cut included.
     """
 
     @pytest.mark.parametrize("engine_a, engine_b", [
-        (PACKED_NATIVE_ENGINE, "packed-fused"),
-        ("packed-fused", PACKED_NATIVE_ENGINE),
-        (PACKED_NATIVE_ENGINE, "unpacked"),
-        ("unpacked", PACKED_NATIVE_ENGINE),
+        (NATIVE, "packed"),
+        ("packed", NATIVE),
+        (NATIVE, "unpacked"),
+        ("unpacked", NATIVE),
     ])
     def test_midstream_restore(self, engine_a, engine_b):
         _roundtrip_checkpoint(engine_a, engine_b, seed=123, cut_chunk=29,

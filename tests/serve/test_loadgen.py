@@ -205,7 +205,7 @@ class TestSmokeRun:
         assert report.metrics["worker_cycle_recovery_s"] > 0
 
     def test_engine_resolved(self, report):
-        assert report.engine in ("unpacked", "packed", "packed-fused")
+        assert report.engine in ("unpacked", "packed")
 
     def test_report_round_trips_through_benchrec(self, report, tmp_path):
         record = report.record("load_slo")

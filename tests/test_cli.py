@@ -60,8 +60,12 @@ class TestBackendsCommand:
         out = capsys.readouterr().out
         for name in engine_names():
             assert name in out
-        assert "auto" in out  # reports what the selector resolves to
+        assert "'auto' resolves to 'packed'" in out
         assert "bit-identical" in out
+        # One line names the kernels packed runs on; no per-engine
+        # fused/availability columns are left.
+        assert "'packed' runs on this host on " in out
+        assert "Fused" not in out and "Avail" not in out
 
     def test_reports_word_layout_at_dim(self, capsys):
         assert main(["backends", "--dim", "130"]) == 0
@@ -83,8 +87,9 @@ class TestBackendsCommand:
             main(["sessions", "--backend", "gpu"])
         assert exc_info.value.code == 2
         err = capsys.readouterr().err
-        for name in ("unpacked", "packed", "packed-fused", "auto"):
+        for name in ("unpacked", "packed", "auto"):
             assert name in err
+        assert "packed-fused" not in err and "packed-native" not in err
 
 
 class TestServingCommands:
