@@ -76,9 +76,10 @@ class TestPackedParityThroughLookup:
         np.testing.assert_array_equal(labels_p, labels_u)
         np.testing.assert_array_equal(dists_p, dists_u)
 
-    @pytest.mark.parametrize("engine", ["packed"])
+    @pytest.mark.parametrize("engine", ["packed", "packed-fused"])
     def test_full_pipeline_parity(self, lookup_popcount, engine):
-        """The word-domain engine equals the unpacked reference."""
+        """The word-domain engine, also under its retired name
+        ``packed-fused``, equals the unpacked reference."""
         rng = np.random.default_rng(11)
         signal = rng.standard_normal((4 * 128, 4))
         predictions = {}
