@@ -28,6 +28,7 @@ chunking of the label stream.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,25 +53,23 @@ def delta_scores(distances: np.ndarray) -> np.ndarray:
 
 
 def _windowed_sum(values: np.ndarray, width: int) -> np.ndarray:
-    """Sum of each trailing window of ``width`` values; shape preserved.
+    """Sum of each ``width``-wide window along the rows of ``values``.
 
-    Entry ``i`` sums ``values[max(0, i - width + 1) : i + 1]`` (leading
-    windows are zero-padded; the alarm machine masks them out under the
-    warm-up contract anyway).  Each window is reduced explicitly rather
-    than as a difference of running cumsums: a full window's sum then
-    depends *only* on the window's contents, never on the stream prefix,
-    which is what keeps the state machine bit-identical under arbitrary
-    chunking even for adversarially scaled float deltas (a cumsum
-    difference can absorb a tiny delta into a large prefix total).
+    ``values`` is ``(rows, width - 1 + n)``: each row's first
+    ``width - 1`` entries are the history before its ``n`` new values
+    (zero-padded where the history is shorter), and entry ``[r, i]`` of
+    the ``(rows, n)`` result sums ``values[r, i : i + width]``, the
+    trailing window of new value ``i``.  Each window is reduced
+    explicitly rather than as a difference of running cumsums: a full
+    window's sum then depends *only* on the window's contents, never on
+    the stream prefix, which is what keeps the state machine
+    bit-identical under arbitrary chunking even for adversarially
+    scaled float deltas (a cumsum difference can absorb a tiny delta
+    into a large prefix total).
     """
-    if len(values) == 0:
-        return np.zeros(0, dtype=np.float64)
-    padded = np.concatenate(
-        [np.zeros(width - 1, dtype=np.float64), values]
-    )
-    return np.lib.stride_tricks.sliding_window_view(padded, width).sum(
-        axis=-1
-    )
+    return np.lib.stride_tricks.sliding_window_view(
+        values, width, axis=-1
+    ).sum(axis=-1)
 
 
 def alarm_flags(
@@ -201,41 +200,83 @@ class AlarmStateMachine:
             condition and its rising edges (True exactly where an alarm
             *onset* occurs, carried correctly across chunk boundaries).
         """
-        cfg = self.config
-        labels_arr = np.asarray(labels, dtype=np.int64)
-        deltas_arr = np.asarray(deltas, dtype=np.float64)
-        if labels_arr.shape != deltas_arr.shape or labels_arr.ndim != 1:
-            raise ValueError(
-                f"labels {labels_arr.shape} and deltas {deltas_arr.shape} "
-                "must be equal-length 1-D arrays"
-            )
-        n = labels_arr.shape[0]
-        if n == 0:
-            empty = np.zeros(0, dtype=bool)
-            return empty, empty.copy()
-        width = cfg.postprocess_len
-        joined_labels = np.concatenate([self._tail_labels, labels_arr])
-        joined_deltas = np.concatenate([self._tail_deltas, deltas_arr])
-        carry = self._tail_labels.shape[0]
-        ictal = (joined_labels == ICTAL).astype(np.float64)
-        ictal_counts = _windowed_sum(ictal, width)[carry:]
-        ictal_delta_sums = _windowed_sum(ictal * joined_deltas, width)[carry:]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean_delta = np.where(
-                ictal_counts > 0, ictal_delta_sums / ictal_counts, 0.0
-            )
-        flags = (ictal_counts >= cfg.tc) & (mean_delta > cfg.tr)
-        # Warm-up: a window only votes once `width` labels exist.
-        global_index = self._seen + np.arange(n)
-        flags &= global_index >= width - 1
-        previous = np.concatenate([[self._active], flags[:-1]])
-        rising = flags & ~previous
-        self._seen += n
-        keep = min(width - 1, joined_labels.shape[0])
-        self._tail_labels = joined_labels[joined_labels.shape[0] - keep :].copy()
-        self._tail_deltas = joined_deltas[joined_deltas.shape[0] - keep :].copy()
-        self._active = bool(flags[-1])
-        return flags, rising
+        return self.update_many([self], [labels], [deltas])[0]
+
+    @staticmethod
+    def update_many(
+        machines: Sequence["AlarmStateMachine"],
+        labels: Sequence[np.ndarray],
+        deltas: Sequence[np.ndarray],
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Feed ``labels[s]``/``deltas[s]`` to ``machines[s]``, one vote.
+
+        The t_c / t_r vote of every machine sharing a
+        ``postprocess_len`` runs as one vectorised pass: row ``s`` holds
+        machine ``s``'s label tail, left-padded with zeros to
+        ``postprocess_len - 1`` entries, then its chunk, right-padded to
+        the longest chunk; each row votes with its machine's own t_c and
+        t_r.  Every machine ends exactly as :meth:`update` would leave
+        it (which is this method for one machine).
+
+        Returns:
+            ``(flags, rising)`` per machine, as :meth:`update`.
+        """
+        label_arrs = [np.asarray(arr, dtype=np.int64) for arr in labels]
+        delta_arrs = [np.asarray(arr, dtype=np.float64) for arr in deltas]
+        results: list = [None] * len(machines)
+        by_width: dict[int, list[int]] = {}
+        for k, (lab, dl) in enumerate(zip(label_arrs, delta_arrs)):
+            if lab.shape != dl.shape or lab.ndim != 1:
+                raise ValueError(
+                    f"labels {lab.shape} and deltas {dl.shape} "
+                    "must be equal-length 1-D arrays"
+                )
+            if lab.shape[0] == 0:
+                empty = np.zeros(0, dtype=bool)
+                results[k] = (empty, empty.copy())
+            else:
+                width = machines[k].config.postprocess_len
+                by_width.setdefault(width, []).append(k)
+        for width, rows in by_width.items():
+            group = [machines[k] for k in rows]
+            sizes = np.array([label_arrs[k].shape[0] for k in rows])
+            head = width - 1
+            joined_labels = np.zeros((len(rows), head + sizes.max()),
+                                     dtype=np.int64)
+            joined_deltas = np.zeros(joined_labels.shape, dtype=np.float64)
+            for r, (k, machine) in enumerate(zip(rows, group)):
+                carry = machine._tail_labels.shape[0]
+                stop = head + sizes[r]
+                joined_labels[r, head - carry : head] = machine._tail_labels
+                joined_labels[r, head:stop] = label_arrs[k]
+                joined_deltas[r, head - carry : head] = machine._tail_deltas
+                joined_deltas[r, head:stop] = delta_arrs[k]
+            ictal = (joined_labels == ICTAL).astype(np.float64)
+            ictal_counts = _windowed_sum(ictal, width)
+            ictal_delta_sums = _windowed_sum(ictal * joined_deltas, width)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                mean_delta = np.where(
+                    ictal_counts > 0, ictal_delta_sums / ictal_counts, 0.0
+                )
+            tc = np.array([m.config.tc for m in group])[:, None]
+            tr = np.array([m.config.tr for m in group])[:, None]
+            seen = np.array([m._seen for m in group])[:, None]
+            flags = (ictal_counts >= tc) & (mean_delta > tr)
+            # Warm-up: a window only votes once `width` labels exist.
+            flags &= seen + np.arange(flags.shape[1]) >= head
+            active = np.array([m._active for m in group])[:, None]
+            rising = flags & ~np.concatenate([active, flags[:, :-1]], axis=1)
+            for r, (k, machine) in enumerate(zip(rows, group)):
+                n = sizes[r]
+                stop = head + n
+                keep = min(head, machine._tail_labels.shape[0] + n)
+                tail = slice(stop - keep, stop)
+                machine._tail_labels = joined_labels[r, tail].copy()
+                machine._tail_deltas = joined_deltas[r, tail].copy()
+                machine._seen += int(n)
+                machine._active = bool(flags[r, n - 1])
+                results[k] = (flags[r, :n].copy(), rising[r, :n].copy())
+        return results
 
     def state_dict(self) -> dict:
         """Snapshot of the live stream state (checkpointable)."""

@@ -4,12 +4,13 @@ The serving-scale layer above :class:`~repro.core.streaming.StreamingLaelaps`:
 a :class:`StreamSessionManager` multiplexes many live patient streams,
 each with its own fitted detector, ring-buffered raw tail and alarm
 state machine.  Per tick, raw chunks for any subset of sessions go in
-through :meth:`StreamSessionManager.push_many`; the per-session
-encoders advance independently, but the resulting H vectors of *all*
-sessions are classified by one cross-session batched XOR + popcount
-sweep (:func:`repro.hdc.associative.grouped_classify_packed`) instead
-of one small query per stream.  Events coming back are bit-identical
-to driving each stream alone — the batching is a pure transport
+through :meth:`StreamSessionManager.push_many`, which runs the tick of
+:func:`push_streams` as one batch instead of one small call chain per
+stream: one LBP call per shape, one spatial gather and carry-save tree
+per group of same-shape packed sessions, one cross-session XOR +
+popcount sweep (:func:`repro.hdc.associative.grouped_classify_packed`)
+and one vectorised alarm vote.  Events coming back are bit-identical
+to driving each stream alone — the batching is a pure speed
 optimisation.
 
 Sessions may serve different patients (different electrode counts,
@@ -31,27 +32,41 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.detector import LaelapsDetector
-from repro.core.postprocess import delta_scores
+from repro.core.postprocess import AlarmStateMachine, delta_scores
 from repro.core.streaming import StreamEvent, StreamingLaelaps
 from repro.hdc.associative import grouped_classify_packed
+from repro.hdc.temporal import feed_many
+
+
+class NonFiniteSampleError(ValueError):
+    """A raw chunk holds NaN or infinite samples.
+
+    Raised before any stream state moves: a dead amplifier streams NaN,
+    and classifying it would emit confident INTERICTAL labels.
+    """
 
 
 def validate_chunk(
     session_id: str, chunk, n_electrodes: int
 ) -> np.ndarray:
-    """Coerce one session's raw chunk to float64 and check its shape.
+    """Coerce one session's raw chunk to float64 and check it.
 
-    The single chunk-shape contract of the serving layers — the manager
-    and the sharded gateway both validate through here, so they can
-    never drift into accepting different inputs.
+    The single chunk contract of the streaming and serving layers — a
+    stream pushed alone, the manager and the sharded gateway all
+    validate through here, so they can never drift into accepting
+    different inputs.
 
     Args:
         session_id: Session key, for the error message.
-        chunk: Raw samples, must be ``(n, n_electrodes)``.
+        chunk: Raw samples, must be ``(n, n_electrodes)`` and finite.
         n_electrodes: The session's electrode count.
 
     Returns:
         float64 array ``(n, n_electrodes)``.
+
+    Raises:
+        ValueError: On a wrong shape.
+        NonFiniteSampleError: On any NaN or infinite sample.
     """
     arr = np.asarray(chunk, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n_electrodes:
@@ -59,7 +74,146 @@ def validate_chunk(
             f"session {session_id!r} expects (n, {n_electrodes}) "
             f"chunks, got {arr.shape}"
         )
+    finite = np.isfinite(arr)
+    if not finite.all():
+        sample, electrode = np.argwhere(~finite)[0]
+        raise NonFiniteSampleError(
+            f"session {session_id!r} chunk holds {int((~finite).sum())} "
+            f"non-finite samples (first {arr[sample, electrode]} at sample "
+            f"{sample}, electrode {electrode})"
+        )
     return arr
+
+
+def push_streams(
+    streams: Mapping[str, StreamingLaelaps],
+    chunks: Mapping[str, np.ndarray],
+    stacks: dict | None = None,
+) -> dict[str, list[StreamEvent]]:
+    """Advance many streams by one tick, batched across streams.
+
+    The one streaming code path: :meth:`StreamingLaelaps.push` is the
+    one-stream case and :meth:`StreamSessionManager.push_many` the
+    fleet case.  A tick runs four batched steps:
+
+    1. **symbolise** — one LBP call over the column-stacked raw tails
+       and chunks of all streams sharing a symboliser type, code length
+       and joined length (LBP codes are per column);
+    2. **encode** — :func:`repro.hdc.temporal.feed_many` feeds every
+       stream's temporal encoder, encoding the blocks of encoders that
+       share a batch key in one pass (packed numpy-kernel encoders of
+       one shape); the rest feed one by one;
+    3. **classify** — the completed H vectors of every stream are
+       swept against a stack of all involved prototypes at once;
+    4. **vote** — one vectorised t_c / t_r vote
+       (:meth:`AlarmStateMachine.update_many`) over every stream that
+       completed a window, each at its detector's current t_r.
+
+    Every chunk is validated before any stream state moves, so a bad
+    entry leaves the whole tick unconsumed.  Events are bit-identical
+    to pushing each stream on its own.
+
+    Args:
+        streams: Stream per session id; must cover ``chunks``.
+        chunks: Raw chunk per session id, ``(n_samples, n_electrodes)``.
+        stacks: Cache of stacked encoder tables the caller keeps across
+            ticks (see :meth:`PackedTemporalEncoder.feed_batch
+            <repro.hdc.temporal_packed.PackedTemporalEncoder.feed_batch>`).
+
+    Returns:
+        Per-session lists of completed-window events, in ``chunks``
+        order (empty where a chunk finished no window).
+    """
+    order = list(chunks)
+    arrays = [
+        validate_chunk(sid, chunks[sid], streams[sid].detector.n_electrodes)
+        for sid in order
+    ]
+    codes: list = [None] * len(order)
+    lbp_groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
+    for i, sid in enumerate(order):
+        stream = streams[sid]
+        joined = stream._join(arrays[i])
+        if joined is None:
+            codes[i] = np.zeros((0, arrays[i].shape[1]), dtype=np.int64)
+            continue
+        symbolizer = stream._symbolizer
+        key = (type(symbolizer), symbolizer.length, joined.shape[0])
+        lbp_groups.setdefault(key, []).append((i, joined))
+    for members in lbp_groups.values():
+        symbolizer = streams[order[members[0][0]]]._symbolizer
+        if len(members) == 1:
+            codes[members[0][0]] = symbolizer.codes(members[0][1])
+            continue
+        stacked = symbolizer.codes(
+            np.concatenate([joined for _, joined in members], axis=1)
+        )
+        column = 0
+        for i, joined in members:
+            codes[i] = stacked[:, column : column + joined.shape[1]]
+            column += joined.shape[1]
+    h_list = feed_many(
+        [streams[sid]._encoder for sid in order], codes, stacks
+    )
+    events: dict[str, list[StreamEvent]] = {sid: [] for sid in order}
+    voters = [
+        (sid, h) for sid, h in zip(order, h_list) if h.shape[0]
+    ]
+    if not voters:
+        return events
+    labels, distances = _classify(
+        [(streams[sid].detector, h) for sid, h in voters]
+    )
+    deltas = delta_scores(distances)
+    bounds = np.cumsum([0] + [h.shape[0] for _, h in voters])
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    votes = AlarmStateMachine.update_many(
+        [streams[sid]._voter() for sid, _ in voters],
+        [labels[span] for span in spans],
+        [deltas[span] for span in spans],
+    )
+    for (sid, _), span, (_, rising) in zip(voters, spans, votes):
+        events[sid] = streams[sid]._events(labels[span], deltas[span], rising)
+    return events
+
+
+def _classify(
+    batch: list[tuple[LaelapsDetector, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and distances of every detector's H vectors, in order.
+
+    One detector's windows go through its engine's own query; several
+    detectors' windows are packed into one query block and swept
+    against a stack of all their prototypes at once.
+    """
+    if len(batch) == 1:
+        detector, h = batch[0]
+        return detector.engine.classify_windows(detector.memory, h)
+    queries = []
+    owners = []
+    protos = []
+    labels_table = []
+    kernels = set()
+    for owner, (detector, h) in enumerate(batch):
+        packed = detector.engine.pack_queries(h)
+        queries.append(packed)
+        owners.append(np.full(packed.shape[0], owner, dtype=np.intp))
+        block, block_labels = detector.memory.packed_block()
+        protos.append(block)
+        labels_table.append(block_labels)
+        kernels.add(detector.engine.grouped_kernel)
+    # When every involved session runs the same grouped kernel, it
+    # carries the tick (the nogil numba sweep of packed engines on
+    # numba hosts, typically); mixed fleets fall back to the numpy
+    # sweep — all implementations are bit-exact, so this only picks
+    # a speed, never a result.
+    sweep = kernels.pop() if len(kernels) == 1 else grouped_classify_packed
+    return sweep(
+        np.concatenate(queries, axis=0),
+        np.stack(protos),
+        np.concatenate(owners),
+        np.stack(labels_table),
+    )
 
 
 def lockstep_ticks(signals: Mapping[str, np.ndarray], chunk_samples: int):
@@ -97,6 +251,10 @@ class StreamSessionManager:
     def __init__(self) -> None:
         self._sessions: dict[str, StreamingLaelaps] = {}
         self._dim: int | None = None
+        # Stacked bound tables of the sessions' packed encoders, reused
+        # across ticks (see PackedTemporalEncoder.feed_batch); dropped
+        # when a session closes so closed sessions' tables are freed.
+        self._stacks: dict = {}
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -153,6 +311,7 @@ class StreamSessionManager:
         """Drop a session and its live state."""
         self.session(session_id)
         del self._sessions[session_id]
+        self._stacks.clear()
         if not self._sessions:
             self._dim = None
 
@@ -167,14 +326,13 @@ class StreamSessionManager:
     def push_many(
         self, chunks: Mapping[str, np.ndarray]
     ) -> dict[str, list[StreamEvent]]:
-        """Advance many sessions at once, classifying in one sweep.
+        """Advance many sessions by one tick, batched across sessions.
 
-        Each session's encoder consumes its chunk independently (code
-        continuation and window bundling are inherently per-stream);
-        the completed H vectors of every session are then packed into a
-        single query block and classified against a stack of all
-        involved prototypes by one vectorized XOR + popcount sweep.
-        Results are bit-identical to pushing each session alone.
+        Runs :func:`push_streams` over the named sessions: one LBP call
+        per shape, one encoding pass per group of same-shape packed
+        sessions, one classification sweep and one alarm vote for the
+        whole tick.  Results are bit-identical to pushing each session
+        alone.
 
         Args:
             chunks: Mapping of session id to raw chunk
@@ -184,62 +342,15 @@ class StreamSessionManager:
         Returns:
             Per-session lists of completed-window events (empty where a
             chunk finished no window).
+
+        Raises:
+            KeyError: For an id with no open session.
+            ValueError: For a chunk of the wrong shape, and
+                :class:`NonFiniteSampleError` for a non-finite one; in
+                both cases no session consumes any of the tick.
         """
-        # Validate every session id and chunk shape before touching any
-        # stream state: a bad entry must not leave earlier sessions with
-        # half-consumed ticks (their windows would vanish unclassified).
-        order = list(chunks)
-        arrays: dict[str, np.ndarray] = {}
-        for session_id in order:
-            stream = self.session(session_id)
-            arrays[session_id] = validate_chunk(
-                session_id, chunks[session_id], stream.detector.n_electrodes
-            )
-        h_blocks: list[tuple[str, np.ndarray]] = []
-        events: dict[str, list[StreamEvent]] = {}
-        for session_id in order:
-            stream = self._sessions[session_id]
-            h_vectors = stream.encode_chunk(arrays[session_id])
-            events[session_id] = []
-            if h_vectors.shape[0]:
-                h_blocks.append((session_id, h_vectors))
-        if not h_blocks:
-            return events
-        queries = []
-        owners = []
-        protos = []
-        labels_table = []
-        kernels = set()
-        for owner, (session_id, h_vectors) in enumerate(h_blocks):
-            stream = self._sessions[session_id]
-            packed = stream.detector.engine.pack_queries(h_vectors)
-            queries.append(packed)
-            owners.append(np.full(packed.shape[0], owner, dtype=np.intp))
-            block, block_labels = stream.detector.memory.packed_block()
-            protos.append(block)
-            labels_table.append(block_labels)
-            kernels.add(stream.detector.engine.grouped_kernel)
-        # When every involved session runs the same grouped kernel, it
-        # carries the tick (the nogil numba sweep of packed engines on
-        # numba hosts, typically); mixed fleets fall back to the numpy
-        # sweep — all implementations are bit-exact, so this only picks
-        # a speed, never a result.
-        sweep = kernels.pop() if len(kernels) == 1 else grouped_classify_packed
-        labels, distances = sweep(
-            np.concatenate(queries, axis=0),
-            np.stack(protos),
-            np.concatenate(owners),
-            np.stack(labels_table),
-        )
-        deltas = delta_scores(distances)
-        offset = 0
-        for session_id, h_vectors in h_blocks:
-            n = h_vectors.shape[0]
-            events[session_id] = self._sessions[session_id].emit_events(
-                labels[offset : offset + n], deltas[offset : offset + n]
-            )
-            offset += n
-        return events
+        streams = {sid: self.session(sid) for sid in chunks}
+        return push_streams(streams, chunks, self._stacks)
 
     def run(
         self,

@@ -14,11 +14,11 @@ Because the postprocessor *is* the batch one (same class, resumable),
 and any chunking — including the warm-up contract that no alarm can fire
 before ``postprocess_len`` labels exist.
 
-Multi-patient serving is layered on top of this class by
-:class:`repro.core.sessions.StreamSessionManager`, which drives many
-streams through the two-phase split :meth:`StreamingLaelaps.encode_chunk`
-/ :meth:`StreamingLaelaps.emit_events` so classification can be batched
-across sessions.
+Every push runs through the fleet tick of
+:func:`repro.core.sessions.push_streams`: a stream pushed alone is a
+fleet of one, and :class:`repro.core.sessions.StreamSessionManager`
+ticks many streams at once, batching symbolisation, encoding,
+classification and the alarm vote across them.
 """
 
 from __future__ import annotations
@@ -107,57 +107,68 @@ class StreamingLaelaps:
         """The live alarm state machine (shared batch/stream semantics)."""
         return self._post
 
-    def encode_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        """Phase 1 of :meth:`push`: raw samples to completed H vectors.
+    def push(self, chunk: np.ndarray) -> list[StreamEvent]:
+        """Consume a chunk of raw samples; return completed windows.
 
-        Buffers the symboliser tail across calls and advances the
-        temporal encoder; returns the H vectors of the windows completed
-        by this chunk (possibly zero) in the backend's representation.
-        Classification is *not* performed — callers either classify
-        immediately (:meth:`push`) or batch across many sessions
-        (:class:`repro.core.sessions.StreamSessionManager`).
+        The one-stream case of the fleet tick
+        (:func:`repro.core.sessions.push_streams`), so a stream pushed
+        alone and a stream ticked inside a fleet share one code path.
+
+        Args:
+            chunk: Array ``(n_samples, n_electrodes)`` continuing the
+                stream (any chunk size, including smaller than a block).
+
+        Raises:
+            NonFiniteSampleError: If the chunk holds NaN or infinite
+                samples; the stream is left untouched.
         """
-        arr = np.asarray(chunk, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != self.detector.n_electrodes:
-            raise ValueError(
-                f"expected (n, {self.detector.n_electrodes}), got {arr.shape}"
-            )
-        self._samples_seen += arr.shape[0]
-        joined = np.concatenate([self._raw_tail, arr], axis=0)
+        from repro.core.sessions import push_streams
+
+        return push_streams({"stream": self}, {"stream": chunk})["stream"]
+
+    # ------------------------------------------------------------------
+    # Phases of a tick (driven by repro.core.sessions.push_streams)
+    # ------------------------------------------------------------------
+
+    def _join(self, chunk: np.ndarray) -> np.ndarray | None:
+        """Append a validated chunk to the raw tail.
+
+        Returns the joined samples when they complete at least one LBP
+        code (the raw samples whose codes are not yet computable stay
+        as the new tail), else None, keeping everything as the tail.
+        """
+        self._samples_seen += chunk.shape[0]
+        joined = np.concatenate([self._raw_tail, chunk], axis=0)
         length = self._symbolizer.length
         if joined.shape[0] <= length:
             self._raw_tail = joined
-            return self._encoder.feed(
-                np.zeros((0, self.detector.n_electrodes), dtype=np.int64)
-            )
-        codes = self._symbolizer.codes(joined)
-        # Keep the raw samples whose codes are not yet computable.
+            return None
         self._raw_tail = joined[-length:].copy()
-        return self._encoder.feed(codes)
+        return joined
 
-    def emit_events(
-        self, labels: np.ndarray, deltas: np.ndarray
-    ) -> list[StreamEvent]:
-        """Phase 2 of :meth:`push`: classified windows to stream events.
-
-        Feeds the shared alarm state machine and stamps each window with
-        the stream clock (global window index, symboliser margin), so
-        decision times are correct for mid-stream chunks.
-        """
-        labels_arr = np.asarray(labels, dtype=np.int64)
-        deltas_arr = np.asarray(deltas, dtype=np.float64)
-        n = labels_arr.shape[0]
-        if n == 0:
-            return []
-        cfg = self.detector.config
+    def _voter(self) -> AlarmStateMachine:
+        """The alarm state machine, at the detector's current t_r."""
         # t_r lives on the detector and may be (re)tuned after this
         # stream was opened; track it so alarms keep matching detect().
         if self.detector.tr != self._post.config.tr:
+            cfg = self.detector.config
             self._post.config = PostprocessConfig(
                 postprocess_len=cfg.postprocess_len,
                 tc=cfg.tc,
                 tr=self.detector.tr,
             )
+        return self._post
+
+    def _events(
+        self, labels: np.ndarray, deltas: np.ndarray, rising: np.ndarray
+    ) -> list[StreamEvent]:
+        """Voted windows as stream events, stamped with the stream clock.
+
+        Decision times follow the global window index and the
+        symboliser margin, so they are right for mid-stream chunks.
+        """
+        n = labels.shape[0]
+        cfg = self.detector.config
         spec = cfg.window_spec
         index = self._windows_emitted + np.arange(n)
         times = (
@@ -165,30 +176,16 @@ class StreamingLaelaps:
             + spec.window_samples
             + self._symbolizer.margin
         ) / cfg.fs
-        _, rising = self._post.update(labels_arr, deltas_arr)
         self._windows_emitted += n
         return [
             StreamEvent(
                 time_s=float(times[k]),
-                label=int(labels_arr[k]),
-                delta=float(deltas_arr[k]),
+                label=int(labels[k]),
+                delta=float(deltas[k]),
                 alarm=bool(rising[k]),
             )
             for k in range(n)
         ]
-
-    def push(self, chunk: np.ndarray) -> list[StreamEvent]:
-        """Consume a chunk of raw samples; return completed windows.
-
-        Args:
-            chunk: Array ``(n_samples, n_electrodes)`` continuing the
-                stream (any chunk size, including smaller than a block).
-        """
-        h_vectors = self.encode_chunk(chunk)
-        if h_vectors.shape[0] == 0:
-            return []
-        labels, _, deltas = self.detector.classify_from_windows(h_vectors)
-        return self.emit_events(labels, deltas)
 
     def run(self, signal: np.ndarray, chunk_samples: int) -> list[StreamEvent]:
         """Convenience: stream a whole recording in fixed-size chunks."""

@@ -420,5 +420,9 @@ class NativeTemporalEncoder(PackedTemporalEncoder):
     spatial: NativeSpatialEncoder
     fork_blocks = False
 
+    def batch_key(self) -> None:
+        # Each block already runs on every core; ticks feed per encoder.
+        return None
+
     def _block_state(self, block_codes: np.ndarray) -> np.ndarray:
         return native_bitsliced_counts(self.spatial.encode_packed(block_codes))

@@ -20,6 +20,8 @@ this path and is verified word-exact against the unpacked encoder.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.hdc.backend import pack_bits, packed_words
@@ -54,22 +56,55 @@ class PackedSpatialEncoder:
             )
         self.dim = code_memory.dim
         self.n_electrodes = electrode_memory.n_items
-        self.n_codes = code_memory.n_items
         #: Packed word count per hypervector, ``packed_words(dim)``.
         self.words = packed_words(self.dim)
         # Precompute the packed bound table (n_electrodes, n_codes, words):
         # the software analogue of IM1/IM2 staged in shared memory.
         packed_codes = pack_bits(code_memory.vectors)
         packed_electrodes = pack_bits(electrode_memory.vectors)
-        self._table = (
+        self._set_table(
             packed_electrodes[:, None, :] ^ packed_codes[None, :, :]
         )
+
+    def _set_table(self, table: np.ndarray) -> None:
+        """Install the ``(n_electrodes, n_codes, words)`` bound table."""
+        self._table = table
+        self.n_codes = table.shape[1]
         # Row-flattened view plus per-electrode row offsets: one
         # ``np.take`` gathers a tile electrode-major into the scratch.
-        self._flat_table = self._table.reshape(-1, self.words)
+        self._flat_table = table.reshape(-1, self.words)
         self._row_offsets = (
             np.arange(self.n_electrodes)[:, None] * self.n_codes
         )
+
+    @classmethod
+    def stacked(
+        cls, encoders: Sequence["PackedSpatialEncoder"]
+    ) -> "PackedSpatialEncoder":
+        """One encoder over the alphabets of ``encoders`` side by side.
+
+        Code ``c`` of ``encoders[s]`` is code ``offset_s + c`` of the
+        result, where ``offset_s`` sums the ``n_codes`` of the encoders
+        before it, so one :meth:`encode_packed` call encodes samples of
+        every encoder (each sample wholly from one of them) in a single
+        gather and compressor tree.  The encoders must share their
+        electrode count and dimension.
+        """
+        first = encoders[0]
+        for encoder in encoders:
+            if (encoder.n_electrodes, encoder.dim) != (
+                first.n_electrodes, first.dim
+            ):
+                raise ValueError(
+                    "stacked encoders must share electrodes and dimension"
+                )
+        stack = PackedSpatialEncoder.__new__(PackedSpatialEncoder)
+        stack.dim, stack.n_electrodes = first.dim, first.n_electrodes
+        stack.words = first.words
+        stack._set_table(
+            np.concatenate([encoder._table for encoder in encoders], axis=1)
+        )
+        return stack
 
     def encode_sample_packed(self, codes: np.ndarray) -> np.ndarray:
         """Spatial record of one sample, packed, shape ``(words,)``."""

@@ -14,7 +14,7 @@ windows overlap.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,7 +48,10 @@ class WindowBundler:
     Because ``_block_state`` is pure, the complete blocks of one
     ``feed`` may be encoded on several cores at once
     (:func:`repro.hdc.parallel.fork_map`); ``_absorb_block`` always runs
-    in order in the calling process.
+    in order in the calling process.  A fleet tick feeds many encoders
+    at once through :func:`feed_many`: encoders with equal
+    :meth:`batch_key` go through their class's :meth:`feed_batch`,
+    which may encode all their blocks in one pass.
 
     Args:
         spatial: The spatial encoder producing per-sample records; must
@@ -106,6 +109,24 @@ class WindowBundler:
             Array ``(n_new_windows, ...)`` of H vectors completed by this
             chunk (possibly empty), in the backend's representation.
         """
+        blocks = self._take_blocks(codes)
+        outputs = []
+        for first in range(0, len(blocks), _ROUND_BLOCKS):
+            round_blocks = blocks[first : first + _ROUND_BLOCKS]
+            for state in self._block_states(round_blocks):
+                h = self._absorb_block(state)
+                if h is not None:
+                    outputs.append(h)
+        if not outputs:
+            return self._empty_windows()
+        return np.stack(outputs)
+
+    def _take_blocks(self, codes: np.ndarray) -> list[np.ndarray]:
+        """Buffer ``codes``; return the blocks they complete, in order.
+
+        The samples left over after the last complete block stay
+        pending for the next feed.
+        """
         arr = np.asarray(codes)
         if arr.ndim != 2 or arr.shape[1] != self.spatial.n_electrodes:
             raise ValueError(
@@ -116,30 +137,48 @@ class WindowBundler:
             arr = np.concatenate([self._pending, arr], axis=0)
         step = self.spec.step_samples
         n_blocks = arr.shape[0] // step
-        outputs = []
-        for first in range(0, n_blocks, _ROUND_BLOCKS):
-            blocks = [
-                arr[i * step : (i + 1) * step]
-                for i in range(first, min(first + _ROUND_BLOCKS, n_blocks))
-            ]
-            for state in self._block_states(blocks):
-                h = self._absorb_block(state)
-                if h is not None:
-                    outputs.append(h)
         self._pending = arr[n_blocks * step :].copy()
-        if not outputs:
-            return self._empty_windows()
-        return np.stack(outputs)
+        return [arr[i * step : (i + 1) * step] for i in range(n_blocks)]
+
+    def _feed_work(self, n_blocks: int) -> int:
+        """Gathered bytes of encoding ``n_blocks`` blocks (fork estimate)."""
+        return (
+            n_blocks * self.spec.step_samples * self.spatial.n_electrodes
+            * packed_words(self.dim) * 8
+        )
 
     def _block_states(self, blocks: list[np.ndarray]) -> Iterable[np.ndarray]:
         """``_block_state`` of every block, in order, forking if it pays."""
         if not self.fork_blocks:
             return map(self._block_state, blocks)
-        work = (
-            len(blocks) * self.spec.step_samples * self.spatial.n_electrodes
-            * packed_words(self.dim) * 8
-        )
+        work = self._feed_work(len(blocks))
         return fork_map(self._block_state, blocks, work)
+
+    def batch_key(self) -> Hashable | None:
+        """Which encoders may feed one tick as one batch (hook).
+
+        Encoders whose keys are equal and not None are fed together by
+        their class's :meth:`feed_batch` (see :func:`feed_many`); None,
+        the default, feeds this encoder on its own.
+        """
+        return None
+
+    @classmethod
+    def feed_batch(
+        cls,
+        encoders: Sequence["WindowBundler"],
+        codes: Sequence[np.ndarray],
+        stacks: dict | None = None,
+    ) -> list[np.ndarray]:
+        """``encoders[s].feed(codes[s])`` for every ``s`` (batching hook).
+
+        Encoder classes that can encode several encoders' blocks in one
+        pass override this; the default feeds each encoder alone.
+        ``stacks`` is a cache the caller keeps across calls for such
+        overrides (see :meth:`PackedTemporalEncoder.feed_batch
+        <repro.hdc.temporal_packed.PackedTemporalEncoder.feed_batch>`).
+        """
+        return [encoder.feed(chunk) for encoder, chunk in zip(encoders, codes)]
 
     def encode_all(self, codes: np.ndarray) -> np.ndarray:
         """Encode a complete code stream into all its H vectors.
@@ -252,6 +291,41 @@ class TemporalEncoder(WindowBundler):
     def _restore_blocks(self, blocks: list[np.ndarray]) -> None:
         for block in blocks:
             self._block_sums.append(np.asarray(block, dtype=np.int32).copy())
+
+
+def feed_many(
+    encoders: Sequence[WindowBundler],
+    codes: Sequence[np.ndarray],
+    stacks: dict | None = None,
+) -> list[np.ndarray]:
+    """Feed ``codes[s]`` to ``encoders[s]``; batch what can be batched.
+
+    Encoders sharing a :meth:`WindowBundler.batch_key` go through one
+    :meth:`WindowBundler.feed_batch` call of their class; the rest are
+    fed one by one.  Every encoder ends exactly as its own ``feed``
+    would leave it, and returns the same H vectors.
+
+    Args:
+        encoders: Distinct streaming encoders.
+        codes: One code chunk per encoder.
+        stacks: Cache the caller keeps across calls for the batch
+            hooks (a fleet keeps one; None builds what a call needs).
+    """
+    out: list = [None] * len(encoders)
+    groups: dict = {}
+    for s, encoder in enumerate(encoders):
+        key = encoder.batch_key()
+        if key is None:
+            out[s] = encoder.feed(codes[s])
+        else:
+            groups.setdefault(key, []).append(s)
+    for members in groups.values():
+        group = [encoders[s] for s in members]
+        group_codes = [codes[s] for s in members]
+        fed = type(group[0]).feed_batch(group, group_codes, stacks)
+        for s, h in zip(members, fed):
+            out[s] = h
+    return out
 
 
 def encode_recording(

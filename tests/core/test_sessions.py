@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.persistence import load_sessions, save_sessions
-from repro.core.sessions import StreamSessionManager
+from repro.core.sessions import NonFiniteSampleError, StreamSessionManager
 from repro.core.streaming import StreamingLaelaps
 from repro.core.training import TrainingSegments
 from repro.data.synthetic import (
@@ -106,6 +106,33 @@ class TestLifecycle:
             manager.session(sid).samples_seen == 0 for sid in ids
         )
         # The tick replays cleanly afterwards, matching per-stream runs.
+        good = manager.push_many({sid: signals[sid][:512] for sid in ids})
+        for sid in ids:
+            expected = StreamingLaelaps(detectors[sid]).push(
+                signals[sid][:512]
+            )
+            assert good[sid] == expected
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_chunk_leaves_all_sessions_untouched(self, fleet, bad):
+        # A dead amplifier's NaNs must be refused, not classified: the
+        # whole tick fails before any session (earlier ones included)
+        # consumes a sample.
+        detectors, signals = fleet
+        ids = list(detectors)[:3]
+        manager = StreamSessionManager()
+        for sid in ids:
+            manager.open(sid, detectors[sid])
+        chunks = {sid: signals[sid][:512].copy() for sid in ids}
+        chunks[ids[2]][300, 1] = bad
+        with pytest.raises(NonFiniteSampleError, match=repr(ids[2])):
+            manager.push_many(chunks)
+        assert all(
+            manager.session(sid).samples_seen == 0
+            and manager.session(sid).windows_emitted == 0
+            for sid in ids
+        )
         good = manager.push_many({sid: signals[sid][:512] for sid in ids})
         for sid in ids:
             expected = StreamingLaelaps(detectors[sid]).push(

@@ -66,6 +66,23 @@ class TestStreamingBehaviour:
         with pytest.raises(ValueError):
             streamer.push(np.zeros((10, 2)))
 
+    def test_non_finite_samples_rejected_before_state_moves(
+        self, fitted_detector, mini_recording
+    ):
+        from repro.core.sessions import NonFiniteSampleError
+
+        streamer = StreamingLaelaps(fitted_detector)
+        streamer.push(mini_recording.data[:300])
+        before = streamer.state_dict()
+        chunk = mini_recording.data[300:900].copy()
+        chunk[10:20] = np.nan
+        with pytest.raises(NonFiniteSampleError):
+            streamer.push(chunk)
+        after = streamer.state_dict()
+        np.testing.assert_array_equal(after["raw_tail"], before["raw_tail"])
+        assert after["samples_seen"] == before["samples_seen"]
+        assert after["windows_emitted"] == before["windows_emitted"]
+
     def test_no_events_before_first_window(self, fitted_detector):
         streamer = StreamingLaelaps(fitted_detector)
         spec = fitted_detector.config.window_spec

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import repro.hdc.engine as engine_module
 from repro.core.config import ICTAL, INTERICTAL, LaelapsConfig
 from repro.core.detector import LaelapsDetector
+from repro.core.postprocess import alarm_flags
 from repro.core.sessions import StreamSessionManager
 from repro.core.streaming import StreamingLaelaps
 from repro.hdc.backend import random_bits, unpack_bits
@@ -354,3 +355,112 @@ class TestNativeCheckpointDirections:
     def test_midstream_restore(self, engine_a, engine_b):
         _roundtrip_checkpoint(engine_a, engine_b, seed=123, cut_chunk=29,
                               dim=127)
+
+
+class TestFleetTickParity:
+    """``push_many`` ticks equal per-session ``StreamingLaelaps.push``.
+
+    A tick encodes every same-shape packed numpy-kernel session in one
+    gather and tree, and votes every session in one pass; the solo
+    pushes feed each encoder alone.  Fleets mix every variant, two
+    electrode counts and a custom LBP length; packets complete zero,
+    one or several windows (empty packets included); the fleet is
+    checkpointed into a fresh manager between two ticks; and one
+    session's t_r changes mid-stream.
+    """
+
+    @staticmethod
+    def _detector(variant, dim, n_electrodes, lbp_length, seed):
+        from repro.core.symbolizers import LBPSymbolizer
+
+        rng = np.random.default_rng(seed)
+        with _kernels(variant) as backend:
+            detector = LaelapsDetector(
+                n_electrodes,
+                LaelapsConfig(dim=dim, fs=FS, lbp_length=3, seed=seed,
+                              backend=backend, postprocess_len=3, tc=2),
+                symbolizer=LBPSymbolizer(lbp_length),
+            )
+        detector.fit_from_windows(random_bits((4, dim), rng),
+                                  random_bits((4, dim), rng))
+        detector.tr = 1.0
+        return detector
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.lists(
+            st.tuples(st.sampled_from(ENGINES), st.sampled_from([2, 3]),
+                      st.sampled_from([3, 3, 4])),
+            min_size=2, max_size=7,
+        ),
+        st.data(),
+    )
+    def test_push_many_matches_solo_push(self, seed, sessions, data):
+        dim = 129
+        n_ticks = 10
+        # Per session and tick: a packet size (0 = no packet this tick,
+        # -1 = an empty packet); 16-sample blocks, 32-sample windows.
+        sizes = data.draw(st.lists(
+            st.lists(st.sampled_from([-1, 0, 5, 16, 21, 48, 70]),
+                     min_size=n_ticks, max_size=n_ticks),
+            min_size=len(sessions), max_size=len(sessions),
+        ))
+        restore_at = data.draw(st.integers(1, n_ticks - 1))
+        retune = data.draw(st.tuples(
+            st.integers(0, len(sessions) - 1), st.integers(1, n_ticks - 1),
+            st.sampled_from([0.0, 2.0, 5.0]),
+        ))
+        manager = StreamSessionManager()
+        solo = {}
+        signals = {}
+        for i, (variant, n_electrodes, lbp_length) in enumerate(sessions):
+            sid = f"s{i}"
+            args = (variant, dim, n_electrodes, lbp_length, seed + i)
+            manager.open(sid, self._detector(*args))
+            solo[sid] = StreamingLaelaps(self._detector(*args))
+            signals[sid] = _signal(np.random.default_rng(seed + 99 + i),
+                                   25.0, n_electrodes)
+        position = dict.fromkeys(solo, 0)
+        history = {sid: [] for sid in solo}
+        retuned_from = None
+        for tick in range(n_ticks):
+            if tick == restore_at:
+                restored = StreamSessionManager()
+                for sid in manager.session_ids:
+                    restored.import_session(sid, manager.export_session(sid))
+                manager = restored
+            if tick == retune[1]:
+                sid = f"s{retune[0]}"
+                manager.session(sid).detector.tr = retune[2]
+                solo[sid].detector.tr = retune[2]
+                retuned_from = len(history[sid])
+            chunks = {}
+            for i, sid in enumerate(solo):
+                size = sizes[i][tick]
+                if size:
+                    n = max(size, 0)
+                    chunks[sid] = signals[sid][position[sid]:position[sid] + n]
+                    position[sid] += n
+            fleet_events = manager.push_many(chunks)
+            assert list(fleet_events) == list(chunks)
+            for sid, chunk in chunks.items():
+                expected = solo[sid].push(chunk)
+                assert fleet_events[sid] == expected
+                history[sid].extend(fleet_events[sid])
+        for sid, stream in solo.items():
+            fleet_stream = manager.session(sid)
+            assert fleet_stream.windows_emitted == stream.windows_emitted
+        # The alarms follow an independent oracle too: the batch vote
+        # over the whole label stream at the t_r in force per window.
+        for sid, events in history.items():
+            labels = np.array([e.label for e in events], dtype=np.int64)
+            deltas = np.array([e.delta for e in events])
+            flags = alarm_flags(labels, deltas, postprocess_len=3, tc=2,
+                                tr=1.0)
+            if sid == f"s{retune[0]}" and retuned_from is not None:
+                flags[retuned_from:] = alarm_flags(
+                    labels, deltas, postprocess_len=3, tc=2, tr=retune[2]
+                )[retuned_from:]
+            rising = flags & ~np.concatenate([[False], flags[:-1]])
+            assert [e.alarm for e in events] == rising.tolist()

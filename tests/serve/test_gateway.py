@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import LaelapsConfig
 from repro.core.detector import LaelapsDetector
 from repro.core.persistence import read_fleet_manifest
-from repro.core.sessions import StreamSessionManager
+from repro.core.sessions import NonFiniteSampleError, StreamSessionManager
 from repro.serve import Backpressure, ShardedStreamGateway
 
 from tests.serve.conftest import FS
@@ -104,6 +104,29 @@ class TestPushParity:
                 )
             # No session consumed the failed tick: replaying it cleanly
             # still matches per-stream runs from sample zero.
+            good = gateway.push_many(
+                {sid: signals[sid][:512] for sid in ids}
+            )
+            expected = reference_events(
+                {sid: detectors[sid] for sid in ids},
+                {sid: signals[sid][:512] for sid in ids},
+                chunk=512,
+            )
+            assert good == expected
+
+
+    def test_non_finite_chunk_fails_tick_atomically(self, fleet):
+        detectors, signals = fleet
+        ids = list(detectors)[:3]
+        with ShardedStreamGateway(2) as gateway:
+            for sid in ids:
+                gateway.open(sid, detectors[sid])
+            chunks = {sid: signals[sid][:512].copy() for sid in ids}
+            chunks[ids[1]][7, 0] = np.nan
+            with pytest.raises(NonFiniteSampleError, match=repr(ids[1])):
+                gateway.push_many(chunks)
+            with pytest.raises(NonFiniteSampleError):
+                gateway.submit(ids[1], chunks[ids[1]])
             good = gateway.push_many(
                 {sid: signals[sid][:512] for sid in ids}
             )

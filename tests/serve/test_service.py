@@ -229,6 +229,13 @@ class TestServiceEndToEnd:
                     client.submit(session_id, np.zeros((8, 8)))
                 assert excinfo.value.error_type == "Backpressure"
                 client.drain()
+
+                nan_chunk = np.zeros((8, 8))
+                nan_chunk[3, 5] = np.nan
+                with pytest.raises(ServiceError) as excinfo:
+                    client.push(session_id, nan_chunk)
+                assert excinfo.value.error_type == "NonFiniteSampleError"
+                assert session_id in str(excinfo.value)
         finally:
             runner.stop(drain=False)
 
