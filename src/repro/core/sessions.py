@@ -130,7 +130,7 @@ def push_streams(
         for sid in order
     ]
     codes: list = [None] * len(order)
-    lbp_groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
+    lbp_groups: dict[tuple, tuple] = {}
     for i, sid in enumerate(order):
         stream = streams[sid]
         joined = stream._join(arrays[i])
@@ -139,9 +139,8 @@ def push_streams(
             continue
         symbolizer = stream._symbolizer
         key = (type(symbolizer), symbolizer.length, joined.shape[0])
-        lbp_groups.setdefault(key, []).append((i, joined))
-    for members in lbp_groups.values():
-        symbolizer = streams[order[members[0][0]]]._symbolizer
+        lbp_groups.setdefault(key, (symbolizer, []))[1].append((i, joined))
+    for symbolizer, members in lbp_groups.values():
         if len(members) == 1:
             codes[members[0][0]] = symbolizer.codes(members[0][1])
             continue
