@@ -50,8 +50,8 @@ class WindowBundler:
     (:func:`repro.hdc.parallel.fork_map`); ``_absorb_block`` always runs
     in order in the calling process.  A fleet tick feeds many encoders
     at once through :func:`feed_many`: encoders with equal
-    :meth:`batch_key` go through their class's :meth:`feed_batch`,
-    which may encode all their blocks in one pass.
+    :meth:`batch_key` go through their class's ``feed_batch``, which
+    may encode all their blocks in one pass.
 
     Args:
         spatial: The spatial encoder producing per-sample records; must
@@ -158,27 +158,12 @@ class WindowBundler:
         """Which encoders may feed one tick as one batch (hook).
 
         Encoders whose keys are equal and not None are fed together by
-        their class's :meth:`feed_batch` (see :func:`feed_many`); None,
-        the default, feeds this encoder on its own.
+        their class's ``feed_batch(encoders, codes, stacks)`` (see
+        :func:`feed_many`), which a class returning a key must provide;
+        None, the default, feeds this encoder on its own through
+        :meth:`feed`.
         """
         return None
-
-    @classmethod
-    def feed_batch(
-        cls,
-        encoders: Sequence["WindowBundler"],
-        codes: Sequence[np.ndarray],
-        stacks: dict | None = None,
-    ) -> list[np.ndarray]:
-        """``encoders[s].feed(codes[s])`` for every ``s`` (batching hook).
-
-        Encoder classes that can encode several encoders' blocks in one
-        pass override this; the default feeds each encoder alone.
-        ``stacks`` is a cache the caller keeps across calls for such
-        overrides (see :meth:`PackedTemporalEncoder.feed_batch
-        <repro.hdc.temporal_packed.PackedTemporalEncoder.feed_batch>`).
-        """
-        return [encoder.feed(chunk) for encoder, chunk in zip(encoders, codes)]
 
     def encode_all(self, codes: np.ndarray) -> np.ndarray:
         """Encode a complete code stream into all its H vectors.
@@ -301,8 +286,9 @@ def feed_many(
     """Feed ``codes[s]`` to ``encoders[s]``; batch what can be batched.
 
     Encoders sharing a :meth:`WindowBundler.batch_key` go through one
-    :meth:`WindowBundler.feed_batch` call of their class; the rest are
-    fed one by one.  Every encoder ends exactly as its own ``feed``
+    ``feed_batch`` call of their class (see
+    :meth:`repro.hdc.temporal_packed.PackedTemporalEncoder.feed_batch`);
+    the rest are fed one by one.  Every encoder ends exactly as its own ``feed``
     would leave it, and returns the same H vectors.
 
     Args:
