@@ -288,8 +288,8 @@ def feed_many(
     Encoders sharing a :meth:`WindowBundler.batch_key` go through one
     ``feed_batch`` call of their class (see
     :meth:`repro.hdc.temporal_packed.PackedTemporalEncoder.feed_batch`);
-    the rest are fed one by one.  Every encoder ends exactly as its own ``feed``
-    would leave it, and returns the same H vectors.
+    the rest are fed one by one.  Every encoder ends exactly as its own
+    ``feed`` would leave it, and returns the same H vectors.
 
     Args:
         encoders: Distinct streaming encoders.
